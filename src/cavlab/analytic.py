@@ -13,6 +13,12 @@ The incoherent photon fraction enters through a single dimensionless height
 ``L`` a unit-height Lorentzian of width ``gamma_perp`` in the emitter
 detuning.  ``h`` is bounded by the cooperativity, and in the
 lifetime-dominated regime by a bound linear in the dephasing rates.
+
+The steady-state and coefficient functions also accept an array of drive
+frequencies ``omega_l`` and then return arrays of its shape (a
+:class:`SteadyStateSummary` of arrays for the steady states), equal to
+per-point calls up to rounding.  :func:`emission_spectrum` takes one drive
+frequency and an array of emission frequencies.
 """
 from __future__ import annotations
 

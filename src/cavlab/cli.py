@@ -125,21 +125,6 @@ _PROFILE_MOM_COLUMNS = ["R_mom", "T_mom", "n_cav_mom",
                         "abs_mean_field_sq_mom", "p_exc_mom"]
 
 
-def _profile_row(task) -> list[float]:
-    params, omega_l, with_moments = task
-    r, t = analytic.field_coefficients(params, omega_l)
-    big_r, big_t = analytic.intensity_coefficients(params, omega_l)
-    summary = analytic.steady_state_summary(params, omega_l)
-    row = [omega_l, r.real, r.imag, t.real, t.imag, big_r, big_t,
-           abs(t) ** 2, summary.photon_number,
-           abs(summary.mean_field) ** 2, summary.p_exc]
-    if with_moments:
-        state = moments.steady_state(params, omega_l)
-        r_mom, t_mom = moments.intensity_from_state(params, state)
-        row += [r_mom, t_mom, state.s3, abs(state.s1) ** 2, state.s5]
-    return row
-
-
 def cmd_profile(args) -> int:
     params, options = _load_config(args)
     method = options.get("method", "analytic")
@@ -147,20 +132,23 @@ def cmd_profile(args) -> int:
         raise ParameterError(f"profile method must be analytic or moments, got {method!r}")
     grid = _parse_grid(options.get("grid", "-10:10:401"))
     options["method"], options["grid"] = method, options.get("grid", "-10:10:401")
-    with_moments = method == "moments"
-    tasks = [(params, float(om), with_moments) for om in grid]
-    rows = _map_ordered(_profile_row, tasks, args.workers)
-    columns = _PROFILE_COLUMNS + (_PROFILE_MOM_COLUMNS if with_moments else [])
-    _emit(args, _resolved_config("profile", params, options), {}, columns, rows)
+    r, t = analytic.field_coefficients(params, grid)
+    big_r, big_t = analytic.intensity_coefficients(params, grid)
+    summary = analytic.steady_state_summary(params, grid)
+    columns = [grid, r.real, r.imag, t.real, t.imag, big_r, big_t, abs(t) ** 2,
+               summary.photon_number, abs(summary.mean_field) ** 2, summary.p_exc]
+    names = list(_PROFILE_COLUMNS)
+    if method == "moments":
+        state = moments.steady_state(params, grid)
+        r_mom, t_mom = moments.intensity_from_state(params, state)
+        columns += [r_mom, t_mom, state.s3, abs(state.s1) ** 2, state.s5]
+        names += _PROFILE_MOM_COLUMNS
+    rows = np.column_stack(np.broadcast_arrays(*columns))
+    _emit(args, _resolved_config("profile", params, options), {}, names, rows)
     return 0
 
 
 # --- spectrum ----------------------------------------------------------------
-
-def _regression_chunk(task):
-    params, omega_l, chunk = task
-    return moments.regression_spectrum(params, omega_l, chunk)
-
 
 def _probe_chunk(task):
     params, omega_l, chunk, epsilon, kappa_p, space = task
@@ -188,14 +176,7 @@ def cmd_spectrum(args) -> int:
     if method == "analytic":
         result = analytic.emission_spectrum(params, omega_l, grid)
     elif method == "moments":
-        parts = _map_ordered(_regression_chunk,
-                             [(params, omega_l, c) for c in _chunks(grid, args.workers)],
-                             args.workers)
-        density = np.concatenate([p.incoherent_density for p in parts])
-        result = parts[0]
-        result = type(result)(omega_l=omega_l, grid=grid, incoherent_density=density,
-                              coherent_power=result.coherent_power,
-                              method=result.method, meta=result.meta)
+        result = moments.regression_spectrum(params, omega_l, grid)
     else:
         epsilon = float(options.get("epsilon", 1e-3))
         kappa_p = options.get("kappa_p")
@@ -333,6 +314,8 @@ def cmd_validate(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    if any(r.crashed for r in results):
+        return 3
     return 0 if doc["all_passed"] else 1
 
 
@@ -343,8 +326,6 @@ def _add_io_flags(sub, with_method: bool = True) -> None:
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--grid", help="grid as min:max:n")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes for grid points")
     if with_method:
         sub.add_argument("--method", help="computation backend")
 
@@ -364,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--omega-l", dest="omega_l", type=float, help="drive frequency")
     p.add_argument("--cutoff", type=int, help="cavity cutoff for the probe method")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the grid points of --method probe")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wigner", help="steady-state Wigner function of the cavity")

@@ -26,11 +26,9 @@ for small emitter numbers as a cross-check of the symmetry reduction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .analytic import SpectrumResult
 from .errors import ParameterError, SingularSystemError, StepSizeError
@@ -50,7 +48,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentState:
-    """Snapshot of the six symmetry-reduced moments."""
+    """Snapshot of the six symmetry-reduced moments: scalars for one drive
+    frequency, arrays of one shape for a grid of them."""
 
     s1: complex
     s2: complex
@@ -64,22 +63,27 @@ class MomentState:
         return MomentState(0j, 0j, 0.0, 0j, 0.0, 0.0)
 
     def packed(self) -> np.ndarray:
-        """Real 9-vector [Re s1, Im s1, Re s2, Im s2, s3, Re s4, Im s4, s5, s6]."""
-        return np.array([
-            self.s1.real, self.s1.imag, self.s2.real, self.s2.imag,
-            self.s3, self.s4.real, self.s4.imag, self.s5, self.s6,
-        ])
+        """Real 9-vector [Re s1, Im s1, Re s2, Im s2, s3, Re s4, Im s4, s5, s6],
+        along the last axis when the fields are arrays."""
+        parts = (self.s1.real, self.s1.imag, self.s2.real, self.s2.imag,
+                 self.s3, self.s4.real, self.s4.imag, self.s5, self.s6)
+        return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
     @staticmethod
     def from_packed(x: np.ndarray) -> "MomentState":
-        return MomentState(
-            s1=complex(x[0], x[1]), s2=complex(x[2], x[3]), s3=float(x[4]),
-            s4=complex(x[5], x[6]), s5=float(x[7]), s6=float(x[8]),
-        )
+        """Inverse of :meth:`packed`; a stack of 9-vectors gives array fields."""
+        x = np.asarray(x, dtype=float)
+        fields = (x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3], x[..., 4],
+                  x[..., 5] + 1j * x[..., 6], x[..., 7], x[..., 8])
+        if x.ndim == 1:
+            fields = (value.item() for value in fields)
+        return MomentState(*fields)
 
 
-def derivative(params: SystemParams, omega_l: float, state: MomentState) -> MomentState:
-    """Time derivative of the reduced moment set."""
+def derivative(params: SystemParams, omega_l: float | np.ndarray,
+               state: MomentState) -> MomentState:
+    """Time derivative of the reduced moment set; ``omega_l`` and the
+    fields of ``state`` may be arrays, which broadcast."""
     n = params.n_atoms
     kappa = params.kappa
     gp = params.gamma_perp
@@ -114,59 +118,119 @@ def derivative(params: SystemParams, omega_l: float, state: MomentState) -> Mome
     return MomentState(ds1, ds2, ds3, ds4, ds5, ds6)
 
 
-_ACTIVE_EMPTY = np.array([0, 1, 4])     # Re s1, Im s1, s3
-
-
 def _affine_parts(fun, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and offset of a real-affine map probed on basis vectors."""
-    offset = fun(np.zeros(dim))
-    matrix = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        matrix[:, i] = fun(e) - offset
-    return matrix, offset
+    """Matrices and offsets of a real-affine map, probed in one call.
+
+    ``fun`` maps a ``(dim + 1, dim)`` stack of probe vectors (zero, then each
+    basis vector) to a ``(dim + 1, ..., dim)`` stack of images; the result is
+    the ``(..., dim, dim)`` matrices and ``(..., dim)`` offsets.
+    """
+    images = fun(np.vstack([np.zeros(dim), np.eye(dim)]))
+    offset = images[0]
+    return np.moveaxis(images[1:] - offset, 0, -1), offset
 
 
 def _solve_equilibrated(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Linear solve with power-of-two row/column scaling and one refinement step."""
-    row = np.max(np.abs(matrix), axis=1)
-    if np.any(row == 0.0):
+    """Batched linear solve with power-of-two row/column scaling and one
+    refinement step; ``matrix`` is ``(..., m, m)`` and ``rhs`` ``(..., m)``."""
+
+    def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return (a @ v[..., None])[..., 0]
+
+    row = np.abs(matrix).max(axis=-1)
+    if (row == 0.0).any():
         raise SingularSystemError(f"{what}: structurally singular system")
     rs = np.exp2(np.round(np.log2(row)))
-    scaled = matrix / rs[:, None]
-    col = np.max(np.abs(scaled), axis=0)
+    scaled = matrix / rs[..., :, None]
+    col = np.abs(scaled).max(axis=-2)
     col[col == 0.0] = 1.0
     cs = np.exp2(np.round(np.log2(col)))
-    scaled = scaled / cs[None, :]
+    scaled = scaled / cs[..., None, :]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(scaled, (b / rs)[..., None])[..., 0] / cs
+
     try:
-        x = np.linalg.solve(scaled, rhs / rs) / cs
-        residual = rhs - matrix @ x
-        x = x + np.linalg.solve(scaled, residual / rs) / cs
+        x = solve(rhs)
+        x = x + solve(rhs - matvec(matrix, x))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"{what}: {exc}") from exc
-    residual = rhs - matrix @ x
-    scale = np.max(np.abs(matrix)) * max(np.max(np.abs(x)), 1e-300)
-    if np.max(np.abs(residual)) > 1e-8 * scale:
+    residual = rhs - matvec(matrix, x)
+    scale = row.max(axis=-1) * np.maximum(np.abs(x).max(axis=-1), 1e-300)
+    if (np.abs(residual).max(axis=-1) > 1e-8 * scale).any():
         raise SingularSystemError(f"{what}: residual check failed")
     return x
 
 
-def steady_state(params: SystemParams, omega_l: float) -> MomentState:
-    """Fixed point of :func:`derivative`, found by direct linear solve."""
+def _fluctuation_parts(params: SystemParams, a: np.ndarray, b: np.ndarray,
+                       c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factorised second moments and the noise sources of their remainder,
+    for first moments ``s1 = a + ib`` and ``s2 = c + id``.
 
-    def fun(x: np.ndarray) -> np.ndarray:
-        return derivative(params, omega_l, MomentState.from_packed(x)).packed()
+    Write each second moment as its factorised value plus an incoherent part
+    ``d``: ``s3 = |s1|**2 + d3``, ``s4 = conj(s1) s2 + d4``, ``s5 = |s2|**2 +
+    d5`` and ``s6 = |s2|**2 + d6`` (``s6 = d6`` for one emitter).  Subtracting
+    the product rule from :func:`derivative` cancels the drive exactly:
+    ``d`` obeys the homogeneous second-moment equations plus sources that
+    are noise rates times ``|s1|**2`` or ``|s2|**2``.  Solving for ``d``
+    keeps every second moment free of cancellation, which near a
+    transmission zero loses more than 7 digits otherwise.  Both arrays are
+    packed like entries 4..8 of :meth:`MomentState.packed`.  The factorised
+    values are rounded as Python's complex ``abs`` and product round them
+    (hypot, no fused multiply-add), so without noise ``s3 == abs(s1) ** 2``
+    and ``s4 == s1.conjugate() * s2`` hold exactly.
+    """
+    n1, n2 = np.hypot(a, b) ** 2, np.hypot(c, d) ** 2
+    pairs = params.n_atoms >= 2
+    factorised = np.stack([n1, a * c - (-b) * d, a * d + (-b) * c, n2, n2 * pairs], axis=-1)
+    zero = np.zeros_like(n1)
+    sources = np.stack([
+        2.0 * params.inv_tau_jitter * n1, zero, zero,
+        2.0 * (params.inv_tau_indiv + params.inv_tau_common) * n2,
+        2.0 * params.inv_tau_common * n2 * pairs,
+    ], axis=-1)
+    return factorised, sources
+
+
+def _steady_solution(params: SystemParams, omegas: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed steady moments, their incoherent parts (see
+    :func:`_fluctuation_parts`) and the homogeneous matrices of
+    :func:`derivative`, at a flat array of drive frequencies."""
+
+    def fun(probes: np.ndarray) -> np.ndarray:
+        state = MomentState.from_packed(probes[:, None, :])
+        return derivative(params, omegas, state).packed()
 
     matrix, offset = _affine_parts(fun, 9)
-    if params.n_atoms == 0:
-        idx = _ACTIVE_EMPTY
-        sub = matrix[np.ix_(idx, idx)]
-        x = np.zeros(9)
-        x[idx] = _solve_equilibrated(sub, -offset[idx], "moments.steady_state")
-    else:
-        x = _solve_equilibrated(matrix, -offset, "moments.steady_state")
-    return MomentState.from_packed(x)
+    # packed entries 0..3 are the first moments, 4..8 the second; without
+    # emitters only Re s1, Im s1 and s3 move
+    n1, n2 = (2, 1) if params.n_atoms == 0 else (4, 5)
+    first, second = slice(0, n1), slice(4, 4 + n2)
+    x = np.zeros(offset.shape)
+    # the first moments do not depend on the second ones
+    x[:, first] = _solve_equilibrated(matrix[:, first, first], -offset[:, first],
+                                      "moments.steady_state")
+    factorised, sources = _fluctuation_parts(params, *x[:, :4].T)
+    incoherent = np.zeros(factorised.shape)
+    incoherent[:, :n2] = _solve_equilibrated(matrix[:, second, second], -sources[:, :n2],
+                                             "moments.steady_state")
+    x[:, second] = factorised[:, :n2] + incoherent[:, :n2]
+    return x, incoherent, matrix
+
+
+def steady_state(params: SystemParams, omega_l: float | np.ndarray) -> MomentState:
+    """Fixed point of :func:`derivative`, found by direct linear solves.
+
+    The first moments are solved first, then the incoherent parts of the
+    second moments (see :func:`_fluctuation_parts`).  ``omega_l`` may be an
+    array of drive frequencies: the systems of all points are built and
+    solved together, and the fields of the returned state are arrays of its
+    shape.  A scalar gives scalar fields.
+    """
+    omegas = np.asarray(omega_l, dtype=float)
+    x, _, _ = _steady_solution(params, omegas.reshape(-1))
+    return MomentState.from_packed(x.reshape(omegas.shape + (9,)))
 
 
 def integrate(params: SystemParams, omega_l: float, state0: MomentState,
@@ -214,86 +278,41 @@ def integrate(params: SystemParams, omega_l: float, state0: MomentState,
 
 # --- correlation spectrum via the regression of the first-moment system ----
 
-def _first_moment_matrix(params: SystemParams, omega_l: float) -> np.ndarray:
-    """Matrix of the closed (s1, s2) system; 1x1 when there are no emitters."""
-    delta_c = params.omega_c - omega_l
-    gamma_c = params.kappa + params.inv_tau_jitter
-    if params.n_atoms == 0:
-        return np.array([[-(gamma_c + 1j * delta_c)]])
-    delta_a = params.omega_a - omega_l
-    g = params.g
-    return np.array([
-        [-(gamma_c + 1j * delta_c), -1j * g * params.n_atoms],
-        [-1j * g, -(params.gamma_perp + 1j * delta_a)],
-    ])
-
-
-def regression_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
-                        t_max: float | None = None,
-                        dt: float | None = None) -> SpectrumResult:
+def regression_spectrum(params: SystemParams, omega_l: float,
+                        grid: np.ndarray) -> SpectrumResult:
     """Emission spectrum from the steady-state two-time field correlation.
 
-    The correlation pair ``(<a_c^dag(0) a_c(tau)>, <a_c^dag(0) a_j(tau)>)``
-    obeys the same linear system as the first moments, with the drive term
-    multiplied by ``<a_c^dag>`` and initial conditions given by the
-    steady-state second moments.  The lag-infinity plateau ``|s1|**2`` is the
-    coherent power; the remainder is integrated against ``exp(i(omega -
-    omega_l) tau)`` with a composite quadrature to give the incoherent
-    density on ``grid``.
+    By the quantum regression theorem (Carmichael, *Statistical Methods in
+    Quantum Optics 1*, ch. 1) the fluctuation part of the correlation pair
+    ``(<a_c^dag(0) a_c(tau)>, <a_c^dag(0) a_j(tau)>)`` obeys the homogeneous
+    first-moment system of :func:`derivative`, ``u(tau) = exp(A tau) u0``,
+    where ``u0`` holds the incoherent parts ``(d3, d4)`` of the steady-state
+    second moments (see :func:`_fluctuation_parts`).  The lag-infinity
+    plateau ``|s1|**2`` is the coherent power.  The incoherent density is the
+    one-sided Fourier transform of the cavity component of ``u(tau)``, which
+    for a decaying ``A`` is the exact resolvent
+
+        S(omega) = Re[-((A + i (omega - omega_l))^-1 u0)_cavity] / pi,
+
+    solved for every grid point at once.  ``A`` and ``u0`` are kept in the
+    packed real form (Re, Im pairs), so the cavity component is entry 0
+    plus i times entry 1 of the solution.
     """
     grid = np.asarray(grid, dtype=float)
-    ss = steady_state(params, omega_l)
-    matrix = _first_moment_matrix(params, omega_l)
-    eigvals = np.linalg.eigvals(matrix)
-    rate_min = float(np.min(-eigvals.real))
-    if rate_min <= 0.0:
+    x, incoherent, matrix = _steady_solution(params, np.array([omega_l], dtype=float))
+    n1 = 2 if params.n_atoms == 0 else 4
+    block = matrix[0, :n1, :n1]
+    if np.min(-np.linalg.eigvals(block).real) <= 0.0:
         raise SingularSystemError("regression_spectrum: correlation system is not decaying")
-    delta_max = float(np.max(np.abs(grid - omega_l))) if grid.size else 0.0
-    scale = max(float(np.max(np.abs(eigvals))), delta_max, rate_min)
-    if dt is None:
-        dt = 0.05 / scale
-    if t_max is None:
-        t_max = 30.0 / rate_min
 
-    if params.n_atoms == 0:
-        u = np.array([ss.s3 - abs(ss.s1) ** 2], dtype=complex)
-    else:
-        u = np.array([
-            ss.s3 - abs(ss.s1) ** 2,
-            ss.s4 - ss.s1.conjugate() * ss.s2,
-        ])
-    u0_norm = np.linalg.norm(u)
-
-    n_steps = max(2, int(math.ceil(t_max / dt)))
-    h = t_max / n_steps
-    samples = np.empty(n_steps + 1, dtype=complex)
-    samples[0] = u[0]
-    for k in range(n_steps):
-        k1 = matrix @ u
-        k2 = matrix @ (u + 0.5 * h * k1)
-        k3 = matrix @ (u + 0.5 * h * k2)
-        k4 = matrix @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        samples[k + 1] = u[0]
-
-    if u0_norm > 0.0 and np.linalg.norm(u) > 1e-6 * u0_norm:
-        warnings.warn(
-            "regression_spectrum: correlation has not decayed to its plateau "
-            f"within t_max={t_max:.3g}; spectrum tails may be inaccurate",
-            RuntimeWarning,
-        )
-
-    taus = np.linspace(0.0, t_max, n_steps + 1)
-    density = np.empty(grid.size)
-    chunk = max(1, int(4e6 // max(taus.size, 1)))
-    for start in range(0, grid.size, chunk):
-        dw = grid[start:start + chunk] - omega_l
-        kernel = np.exp(1j * np.outer(dw, taus)) * samples[None, :]
-        density[start:start + chunk] = simpson(kernel, x=taus, axis=1).real / math.pi
+    u0 = np.array([incoherent[0, 0], 0.0, incoherent[0, 1], incoherent[0, 2]])[:n1]
+    shifted = block + 1j * (grid - omega_l)[:, None, None] * np.eye(n1)
+    transform = -np.linalg.solve(shifted, u0[:, None])[:, :2, 0] @ np.array([1.0, 1j])
+    ss = MomentState.from_packed(x[0])
     return SpectrumResult(
-        omega_l=omega_l, grid=grid, incoherent_density=density,
+        omega_l=omega_l, grid=grid, incoherent_density=transform.real / math.pi,
         coherent_power=abs(ss.s1) ** 2, method="regression",
-        meta={"t_max": t_max, "dt": h, "photon_number": ss.s3},
+        meta={"photon_number": ss.s3},
     )
 
 
@@ -347,9 +366,9 @@ def per_atom_steady_state(params: SystemParams, omega_l: float) -> MomentState:
         raise ParameterError("per_atom_steady_state: supported for 1 <= n_atoms <= 3")
     dim_c = 2 + 2 * n + n * n
 
-    def fun(x: np.ndarray) -> np.ndarray:
-        d = _per_atom_derivative(params, omega_l, x.view(complex))
-        return d.view(float).copy()
+    def fun(probes: np.ndarray) -> np.ndarray:
+        return np.array([_per_atom_derivative(params, omega_l, x.view(complex)).view(float)
+                         for x in probes])
 
     matrix, offset = _affine_parts(fun, 2 * dim_c)
     x = _solve_equilibrated(matrix, -offset, "per_atom_steady_state")

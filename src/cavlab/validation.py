@@ -8,7 +8,9 @@ dimension budget report themselves as skipped rather than silently passing.
 from __future__ import annotations
 
 import math
+import os
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ class CheckResult:
     budget_seconds: float | None = None
     skipped: bool = False
     reason: str = ""
+    crashed: bool = False   # raised instead of returning; ``detail`` says what
 
     def to_dict(self) -> dict:
         # wall-clock time stays out so reports with the same seed compare
@@ -87,17 +90,17 @@ def check_steady_state_equivalence(seed: int) -> CheckResult:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
+    omegas = np.linspace(-6.0, 6.0, 11)
     for k in range(100):
         p = _random_params(rng, _ATOM_CHOICES[k % len(_ATOM_CHOICES)])
-        for om in np.linspace(-6.0, 6.0, 11):
-            ss = moments.steady_state(p, om)
-            ref = analytic.cavity_moments(p, om)
-            worst = max(
-                worst,
-                abs(ss.s3 - ref.photon_number) / ref.photon_number,
-                abs(ss.s5 - ref.p_exc) / abs(ref.p_exc),
-                abs(ss.s1 - ref.mean_field) / abs(ref.mean_field),
-            )
+        ss = moments.steady_state(p, omegas)
+        ref = analytic.cavity_moments(p, omegas)
+        worst = max(
+            worst,
+            np.max(np.abs(ss.s3 - ref.photon_number) / ref.photon_number),
+            np.max(np.abs(ss.s5 - ref.p_exc) / np.abs(ref.p_exc)),
+            np.max(np.abs(ss.s1 - ref.mean_field) / np.abs(ref.mean_field)),
+        )
     ok = worst < 1e-9
     return _result("steady-state-equivalence", start, 10.0, ok,
                    f"worst relative deviation {worst:.2e} over 100 draws "
@@ -136,22 +139,12 @@ def check_transmission_profile(seed: int) -> CheckResult:
     """Normal-mode doublet position and the on-resonance incoherent excess."""
     start = time.perf_counter()
     grid = np.linspace(-10.0, 10.0, 401)
-    curves = {
-        "none": _figure_params(),
-        "common": _figure_params(tau_common=1.0 / 3.0),
-        "individual": _figure_params(tau_indiv=1.0 / 3.0),
-    }
-    profiles = {name: np.array([analytic.intensity_coefficients(p, om)[1]
-                                for om in grid])
-                for name, p in curves.items()}
-    t2 = profiles["none"]
-    inner = (t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])
-    peaks = grid[1:-1][inner]
-    split = curves["none"].g * math.sqrt(curves["none"].n_atoms)
-    peaks_ok = (peaks.size == 2 and abs(peaks[0] + split) < 0.2
-                and abs(peaks[1] - split) < 0.2)
+    quiet = _figure_params()
+    split = quiet.g * math.sqrt(quiet.n_atoms)
+    peaks_ok, doublet = _transmission_doublet(
+        grid, analytic.intensity_coefficients(quiet, grid)[1], split)
 
-    p_common = curves["common"]
+    p_common = _figure_params(tau_common=1.0 / 3.0)
     h_ref = analytic.lorentzian_height(p_common).height
     ss = moments.steady_state(p_common, 0.0)
     _, big_t = moments.intensity_from_state(p_common, ss)
@@ -169,10 +162,21 @@ def check_transmission_profile(seed: int) -> CheckResult:
 
     ok = peaks_ok and mom_dev < 1e-9 and liou_dev < 1e-3
     return _result("transmission-profile", start, 60.0, ok,
-                   f"doublet at {peaks[0]:+.3f}/{peaks[-1]:+.3f} "
-                   f"(want +-{split:.3f} within 0.2), incoherent excess dev "
+                   f"{doublet} (want +-{split:.3f} within 0.2), incoherent excess dev "
                    f"{mom_dev:.2e} (moments, tol 1e-9) / {liou_dev:.2e} "
                    f"(density matrix, tol 1e-3)")
+
+
+def _transmission_doublet(grid: np.ndarray, transmission: np.ndarray,
+                          split: float) -> tuple[bool, str]:
+    """Whether the interior maxima of a transmission profile are the normal
+    modes at +-split (within 0.2), and a description of what was found."""
+    inner = (transmission[1:-1] > transmission[:-2]) & (transmission[1:-1] > transmission[2:])
+    peaks = grid[1:-1][inner]
+    if peaks.size != 2:
+        return False, f"no doublet ({peaks.size} transmission peaks)"
+    ok = abs(peaks[0] + split) < 0.2 and abs(peaks[1] - split) < 0.2
+    return ok, f"doublet at {peaks[0]:+.3f}/{peaks[-1]:+.3f}"
 
 
 def check_jitter_coherence_ratio(seed: int) -> CheckResult:
@@ -390,7 +394,8 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 
 def run_all(seed: int = DEFAULT_SEED, only: list[str] | None = None
             ) -> list[CheckResult]:
-    """Run the validation checks, mapping budget overruns to skips."""
+    """Run the validation checks, mapping budget overruns to skips and any
+    other exception to a crashed FAIL that names it."""
     results = []
     for name, fn in CRITERIA:
         if only is not None and name not in only:
@@ -403,4 +408,10 @@ def run_all(seed: int = DEFAULT_SEED, only: list[str] | None = None
                 name=name, passed=False, detail="", skipped=True,
                 reason=f"dimension budget too small: {exc}",
                 seconds=time.perf_counter() - start))
+        except Exception as exc:    # one criterion's crash must not stop the rest
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            results.append(CheckResult(
+                name=name, passed=False, crashed=True, seconds=time.perf_counter() - start,
+                detail=f"crashed: {type(exc).__name__}: {exc} "
+                       f"(at {os.path.basename(where.filename)}:{where.lineno})"))
     return results

@@ -92,15 +92,6 @@ def test_profile_numbers_have_17_significant_digits(tmp_path):
         assert len(mantissa.lstrip("-").replace(".", "")) == 17
 
 
-def test_profile_worker_pool_keeps_grid_order(tmp_path):
-    serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
-    cli.main(["profile", "--config", DEPHASED, "--grid=-5:5:11",
-              "--method", "moments", "--out", str(serial)])
-    cli.main(["profile", "--config", DEPHASED, "--grid=-5:5:11",
-              "--method", "moments", "--workers", "3", "--out", str(pooled)])
-    assert serial.read_bytes() == pooled.read_bytes()
-
-
 def test_profile_json_format(tmp_path):
     out = tmp_path / "p.json"
     rc = cli.main(["profile", "--config", RESONANT, "--grid=-1:1:5",
@@ -187,6 +178,25 @@ def test_spectrum_probe_matches_analytic(tmp_path):
     assert np.max(dev) < 0.02
 
 
+def test_spectrum_probe_worker_pool_keeps_grid_order(tmp_path):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({
+        "g": 2.0, "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5, "omega_c": 0.0,
+        "omega_a": 0.0, "gamma_par": 2.0, "tau_common": 1.0 / 3.0, "beta": 0.05}))
+    serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["spectrum", "--config", str(cfg), "--method", "probe", "--cutoff", "2",
+            "--grid=-3:3:5"]
+    assert cli.main(argv + ["--out", str(serial)]) == 0
+    assert cli.main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
+    assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_workers_flag_belongs_to_spectrum_only():
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(
+            ["profile", "--config", RESONANT, "--workers", "2"])
+
+
 def test_spectrum_probe_requires_explicit_grid():
     assert cli.main(["spectrum", "--config", DEPHASED,
                      "--method", "probe"]) == 2
@@ -261,6 +271,43 @@ def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["all_passed"] is False
+
+
+def _raise_in_criterion(seed):
+    raise ZeroDivisionError("float division by zero")
+
+
+def test_crashing_criterion_is_a_fail_and_the_rest_still_run(monkeypatch):
+    fine = _fake_criteria(True)
+    monkeypatch.setattr(validation, "CRITERIA",
+                        (("crashing-check", _raise_in_criterion),) + fine)
+    crashed, after = validation.run_all(seed=3)
+    assert crashed.crashed and not crashed.passed and not crashed.skipped
+    assert crashed.line().startswith("FAIL crashing-check: crashed: ZeroDivisionError")
+    assert "float division by zero" in crashed.detail
+    assert after.passed and not after.crashed
+
+
+def test_validate_exits_3_when_a_criterion_crashed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(validation, "CRITERIA",
+                        (("crashing-check", _raise_in_criterion),))
+    out = tmp_path / "crash.json"
+    assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert doc["all_passed"] is False
+    assert set(doc["results"][0]) == {"name", "passed", "skipped", "reason", "detail"}
+    assert "ZeroDivisionError" in doc["results"][0]["detail"]
+    assert "FAIL crashing-check" in capsys.readouterr().err
+
+
+def test_missing_transmission_doublet_is_a_fail_not_an_error():
+    grid = np.linspace(-10.0, 10.0, 401)
+    for profile in (np.zeros_like(grid), np.exp(-grid ** 2)):
+        ok, text = validation._transmission_doublet(grid, profile, 4.47)
+        assert not ok and "no doublet" in text
+    two = np.exp(-(grid - 4.45) ** 2) + np.exp(-(grid + 4.45) ** 2)
+    assert validation._transmission_doublet(grid, two, 4.47) == (
+        True, "doublet at -4.450/+4.450")
 
 
 def test_validate_budget_skip_and_reproducibility(tmp_path, monkeypatch):

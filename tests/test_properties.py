@@ -1,0 +1,94 @@
+"""Properties over the acceptance gate's parameter domain (rates 1e-2..1e2).
+
+The array forms of the closed forms and of the moment solve must equal
+per-point calls, and the resolvent spectrum, the flux identity and the
+height bound must hold on every draw.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from cavlab import analytic, moments
+from cavlab.model import SystemParams
+
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+OMEGAS = np.linspace(-6.0, 6.0, 11)
+
+_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+_channel = st.one_of(st.none(), _rate.map(lambda rate: 1.0 / rate))
+
+
+@st.composite
+def gate_params(draw) -> SystemParams:
+    """A record of the gate's domain: every rate in 1e-2..1e2, each
+    dephasing channel on or off, detunings in [-5, 5], a complex drive."""
+    return SystemParams(
+        g=draw(_rate), n_atoms=draw(st.sampled_from([1, 2, 3, 5, 20])),
+        kappa1=draw(_rate), kappa2=draw(_rate), gamma_par=draw(_rate),
+        omega_c=draw(st.floats(-5.0, 5.0)), omega_a=draw(st.floats(-5.0, 5.0)),
+        tau_indiv=draw(_channel) or math.inf, tau_common=draw(_channel) or math.inf,
+        beta=complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 2.0))),
+    )
+
+
+def _relative(array, points) -> float:
+    points = np.asarray(points)
+    return float(np.max(np.abs(array - points) / np.maximum(np.abs(points), 1e-300)))
+
+
+@given(gate_params())
+def test_array_moment_solve_equals_scalar_solves(p):
+    batch = moments.steady_state(p, OMEGAS).packed()
+    for k, om in enumerate(OMEGAS):
+        point = moments.steady_state(p, om).packed()
+        assert np.max(np.abs(batch[k] - point)) <= 1e-12 * np.max(np.abs(point))
+
+
+@given(gate_params())
+def test_array_closed_forms_equal_scalar_calls(p):
+    r, t = analytic.field_coefficients(p, OMEGAS)
+    big_r, big_t = analytic.intensity_coefficients(p, OMEGAS)
+    summary = analytic.steady_state_summary(p, OMEGAS)
+    points = [(*analytic.field_coefficients(p, om), *analytic.intensity_coefficients(p, om),
+               analytic.steady_state_summary(p, om)) for om in OMEGAS]
+    # r, t, R and T are measured against the incident amplitude or flux,
+    # which they never exceed: r = 2 kappa1 / den - 1 cancels near matching
+    for k, array in enumerate((r, t, big_r, big_t)):
+        assert np.max(np.abs(array - np.array([pt[k] for pt in points]))) <= 1e-14
+    for name in ("mean_field", "photon_number", "p_exc"):
+        assert _relative(getattr(summary, name),
+                         [getattr(pt[4], name) for pt in points]) <= 1e-14
+
+
+@given(gate_params(), st.floats(-6.0, 6.0))
+def test_resolvent_spectrum_matches_closed_form(p, omega_l):
+    grid = analytic.spectrum_grid(p)
+    s = moments.regression_spectrum(p, omega_l, grid).incoherent_density
+    ref = analytic.emission_spectrum(p, omega_l, grid).incoherent_density
+    if not ref.any():        # no dephasing: all light is in the coherent line
+        assert not s.any()
+        return
+    mask = ref > 0.01 * ref.max()
+    assert _relative(s[mask], ref[mask]) <= 1e-11
+
+
+@given(gate_params())
+def test_flux_identity(p):
+    flux = abs(p.beta) ** 2
+    big_r, big_t = analytic.intensity_coefficients(p, OMEGAS)
+    loss = p.n_atoms * p.gamma_par * analytic.steady_state_summary(p, OMEGAS).p_exc / flux
+    assert np.max(np.abs(big_r + big_t + loss - 1.0)) <= 1e-10
+    state = moments.steady_state(p, OMEGAS)
+    big_r, big_t = moments.intensity_from_state(p, state)
+    loss = p.n_atoms * p.gamma_par * state.s5 / flux
+    assert np.max(np.abs(big_r + big_t + loss - 1.0)) <= 1e-10
+
+
+@given(gate_params())
+def test_height_bounded_by_cooperativity(p):
+    report = analytic.lorentzian_height(p)
+    assert report.height <= report.cooperativity * (1 + 1e-12)
