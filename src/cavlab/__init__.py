@@ -6,14 +6,13 @@ numerical oracles (:mod:`cavlab.moments`, :mod:`cavlab.liouville`) validate
 them, and :mod:`cavlab.validation` bundles the full cross-check suite used
 by ``cavlab validate``.
 """
-from .errors import BudgetError, ParameterError, SingularSystemError, StepSizeError
+from .errors import BudgetError, ParameterError, SingularSystemError
 from .model import DerivedRates, SystemParams, derive, params_from_dict, params_from_json, params_to_dict, validate
 
 __all__ = [
     "BudgetError",
     "ParameterError",
     "SingularSystemError",
-    "StepSizeError",
     "DerivedRates",
     "SystemParams",
     "derive",

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, liouville, moments, validation
-from .errors import BudgetError, ParameterError, SingularSystemError, StepSizeError
+from .errors import BudgetError, ParameterError, SingularSystemError
 from .liouville import SpaceSpec
 from .model import SystemParams, params_from_dict, params_to_dict
 
 # config-file keys that steer a command rather than the physics
 _OPTION_KEYS = {
-    "omega_l", "grid", "method", "cutoff", "seed", "sweep",
+    "omega_l", "grid", "method", "cutoff", "sweep",
     "render_width", "epsilon", "kappa_p",
 }
 
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, BudgetError, SingularSystemError, StepSizeError) as exc:
+    except (ParameterError, BudgetError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

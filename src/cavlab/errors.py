@@ -9,9 +9,5 @@ class SingularSystemError(RuntimeError):
     """A linear steady-state solve failed its residual check."""
 
 
-class StepSizeError(RuntimeError):
-    """Fixed-step integrator rejected a step: local error above tolerance."""
-
-
 class BudgetError(RuntimeError):
     """A requested Hilbert space exceeds the configured dimension budget."""

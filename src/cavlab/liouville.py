@@ -1,22 +1,19 @@
 """Brute-force oracle on a truncated Hilbert space.
 
 Everything here works on the full density matrix of the composite system
-cavity x emitters (x probe).  Emitters come in two flavours:
-
-* ``two_level``  -- exact Pauli emitters; population decay jumps through
-  the lowering operator and both dephasing channels couple through sigma_z/2.
-* ``hp``         -- bosonic emitters truncated at ``atom_cutoff`` quanta;
-  the dephasing channels couple through the number operator.
-
-For a Hermitian jump operator, adding a constant leaves the dissipator
-unchanged, so sigma_z/2 and the two-level number operator generate the same
-dynamics; an ``hp`` emitter with cutoff 1 therefore reproduces ``two_level``
-exactly, which the tests exploit.
+cavity x emitters (x probe).  Every emitter is a ladder truncated at
+``SpaceSpec.atom_dim`` levels: population decay jumps through its lowering
+operator, and the detuning and both dephasing channels couple through its
+number operator.  An ``hp`` emitter (bosonic, the regime of the closed forms)
+keeps ``atom_cutoff`` quanta; a ``two_level`` emitter is the same ladder
+with one quantum.  A constant shift of H or of a Hermitian jump operator
+leaves the generator unchanged, so the number operator of a two-level
+emitter gives the same dynamics as sigma_z/2.
 
 Density matrices are vectorized row-major, vec(A rho B) = (A kron B^T) vec(rho).
 Steady states come from a sparse LU solve of the generator with one row
-replaced by the trace constraint; a time-marching fallback covers dimensions
-above the direct-solve threshold.  The overall Hilbert-space dimension is
+replaced by the trace constraint up to Hilbert dimension 64, and from time
+marching above it.  The overall Hilbert-space dimension is
 capped by a budget, overridable through the CAVLAB_BUDGET environment
 variable.
 """
@@ -25,12 +22,11 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, expm
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply, splu
 
 from .analytic import SpectrumResult
@@ -61,9 +57,18 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_BUDGET = 512
-# Largest Hilbert dimension for the sparse LU path.  LU fill-in grows much
-# faster than the marching cost, so past ~80 states the propagator wins.
+# Largest Hilbert dimension for the sparse LU path.  Measured on one core:
+# at dimension 54 direct took 1.0 s and marching 0.85 s, at 108 direct took
+# 84 s (40M fill-in under MMD_AT_PLUS_A) and marching 3.3 s.  Below the limit
+# direct stays: the probe at dimension 56 needs its refined 1e-10 residual,
+# and marching stops at 1e-9.
 _DIRECT_SOLVE_LIMIT = 64
+_DIRECT_TOL = 1e-10          # relative residual of a direct steady state
+_MARCHING_TOL = 1e-9         # ... and of a marched one
+_MARCHING_ROUNDS = 60
+_POSITIVITY_FLOOR = -1e-8    # most negative eigenvalue a steady state may have
+_CUTOFF_REL_TOL = 1e-6       # moment change that ends the cavity-cutoff scan
+_CUTOFF_ROUNDS = 4
 
 
 def dimension_budget() -> int:
@@ -125,8 +130,7 @@ class SpaceSpec:
         return self
 
     def with_cavity_cutoff(self, cutoff: int) -> "SpaceSpec":
-        return SpaceSpec(cutoff, self.n_atoms, self.atom_model,
-                         self.atom_cutoff, self.probe_enabled)
+        return replace(self, cavity_cutoff=cutoff)
 
 
 def _destroy(dim: int) -> sp.csr_matrix:
@@ -146,33 +150,18 @@ def cavity_annihilation(space: SpaceSpec) -> sp.csr_matrix:
 
 
 def atom_lowering(space: SpaceSpec, j: int) -> sp.csr_matrix:
-    if space.atom_model == "two_level":
-        op = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-    else:
-        op = _destroy(space.atom_dim)
-    return _embed(op, 1 + j, space.dims)
-
-
-def _atom_dephasing_op(space: SpaceSpec) -> sp.csr_matrix:
-    """Single-site operator the dephasing noise couples to."""
-    if space.atom_model == "two_level":
-        return sp.csr_matrix(np.diag([-0.5, 0.5]).astype(complex))   # sigma_z / 2
-    return sp.diags(np.arange(space.atom_dim, dtype=float), 0, format="csr").astype(complex)
+    return _embed(_destroy(space.atom_dim), 1 + j, space.dims)
 
 
 def atom_number(space: SpaceSpec, j: int) -> sp.csr_matrix:
-    if space.atom_model == "two_level":
-        op = sp.csr_matrix(np.diag([0.0, 1.0]).astype(complex))
-    else:
-        op = sp.diags(np.arange(space.atom_dim, dtype=float), 0, format="csr").astype(complex)
+    op = sp.diags(np.arange(space.atom_dim, dtype=float), 0, format="csr").astype(complex)
     return _embed(op, 1 + j, space.dims)
 
 
 def probe_lowering(space: SpaceSpec) -> sp.csr_matrix:
     if not space.probe_enabled:
         raise ParameterError("probe_lowering: space has no probe mode")
-    op = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-    return _embed(op, len(space.dims) - 1, space.dims)
+    return _embed(_destroy(2), len(space.dims) - 1, space.dims)
 
 
 def build_hamiltonian(params: SystemParams, omega_l: float,
@@ -188,11 +177,7 @@ def build_hamiltonian(params: SystemParams, omega_l: float,
     h = h + 1j * (drive * a_c.conj().T - np.conj(drive) * a_c)
     for j in range(params.n_atoms):
         low = atom_lowering(space, j)
-        if space.atom_model == "two_level":
-            sz_half = _embed(_atom_dephasing_op(space), 1 + j, space.dims)
-            h = h + delta_a * sz_half
-        else:
-            h = h + delta_a * (low.conj().T @ low)
+        h = h + delta_a * (low.conj().T @ low)
         h = h + params.g * (low.conj().T @ a_c + low @ a_c.conj().T)
     return h.tocsr()
 
@@ -208,11 +193,9 @@ def jump_operators(params: SystemParams, space: SpaceSpec) -> list[sp.csr_matrix
         ops.append(math.sqrt(params.gamma_par) * atom_lowering(space, j))
     if params.inv_tau_indiv > 0.0:
         for j in range(params.n_atoms):
-            site = _embed(_atom_dephasing_op(space), 1 + j, space.dims)
-            ops.append(math.sqrt(2.0 * params.inv_tau_indiv) * site)
+            ops.append(math.sqrt(2.0 * params.inv_tau_indiv) * atom_number(space, j))
     if params.inv_tau_common > 0.0 and params.n_atoms > 0:
-        total = sum(_embed(_atom_dephasing_op(space), 1 + j, space.dims)
-                    for j in range(params.n_atoms))
+        total = sum(atom_number(space, j) for j in range(params.n_atoms))
         ops.append(math.sqrt(2.0 * params.inv_tau_common) * total)
     return [op.tocsr() for op in ops]
 
@@ -270,12 +253,12 @@ class TruncatedState:
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
-    def check(self, positivity_floor: float = -1e-8) -> "TruncatedState":
+    def check(self) -> "TruncatedState":
         if abs(self.trace() - 1.0) > 1e-10:
             raise SingularSystemError("state trace deviates from 1")
         if self.hermiticity_residual() > 1e-10:
             raise SingularSystemError("state is not Hermitian")
-        if self.min_eigenvalue() < positivity_floor:
+        if self.min_eigenvalue() < _POSITIVITY_FLOOR:
             raise SingularSystemError("state has a significantly negative eigenvalue")
         return self
 
@@ -284,7 +267,7 @@ def _trace_indices(dim: int) -> np.ndarray:
     return np.arange(dim) * (dim + 1)
 
 
-def _direct_steady(gen: sp.spmatrix, dim: int, tol: float) -> np.ndarray:
+def _direct_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
     coo = gen.tocoo()
     keep = coo.row != 0
     rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
@@ -301,47 +284,43 @@ def _direct_steady(gen: sp.spmatrix, dim: int, tol: float) -> np.ndarray:
     except RuntimeError as exc:
         raise SingularSystemError(f"steady_state: sparse LU failed: {exc}") from exc
     residual = np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300)
-    if residual > tol:
+    if residual > _DIRECT_TOL:
         raise SingularSystemError(
-            f"steady_state: residual {residual:.3e} above tolerance {tol:.3e}"
+            f"steady_state: residual {residual:.3e} above tolerance {_DIRECT_TOL:.3e}"
         )
     return x
 
 
-def _marching_steady(gen: sp.spmatrix, dim: int, tol: float,
-                     max_rounds: int = 60) -> np.ndarray:
+def _marching_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
     x = np.zeros(dim * dim, dtype=complex)
     x[_trace_indices(dim)] = 1.0 / dim
     rate = float(np.max(np.abs(gen.diagonal())))
     horizon = 1.0 / max(rate, 1e-300)
-    for _ in range(max_rounds):
+    for _ in range(_MARCHING_ROUNDS):
         x = expm_multiply(gen * horizon, x)
         tr = x[_trace_indices(dim)].sum()
         x = x / tr
         residual = np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300)
-        if residual < tol:
+        if residual < _MARCHING_TOL:
             return x
         horizon = min(2.0 * horizon, 1e6 / max(rate, 1e-300))
     raise SingularSystemError("steady_state: time marching did not converge")
 
 
-def steady_state(gen: sp.spmatrix, dims: tuple[int, ...],
-                 method: str = "auto", tol: float = 1e-10) -> TruncatedState:
+def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
     """Stationary density matrix of the generator.
 
-    Direct sparse solve with the trace constraint replacing one row; above
-    the direct-solve size limit (or with method="marching") the state is
-    relaxed by repeated application of the exponential propagator.
+    Up to the direct-solve size limit: a sparse solve with the trace
+    constraint replacing one row.  Above it the state is relaxed by repeated
+    application of the exponential propagator.
     """
     dim = int(np.prod(dims))
     if gen.shape != (dim * dim, dim * dim):
         raise ParameterError("steady_state: generator shape does not match dims")
-    if method not in ("auto", "direct", "marching"):
-        raise ParameterError("steady_state: unknown method")
-    if method == "direct" or (method == "auto" and dim <= _DIRECT_SOLVE_LIMIT):
-        x = _direct_steady(gen, dim, tol)
+    if dim <= _DIRECT_SOLVE_LIMIT:
+        x = _direct_steady(gen, dim)
     else:
-        x = _marching_steady(gen, dim, max(tol, 1e-9))
+        x = _marching_steady(gen, dim)
     rho = x.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -349,15 +328,10 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...],
 
 
 def expectation(state: TruncatedState, observable) -> complex:
-    ob = observable
-    if sp.issparse(ob):
-        if ob.shape != state.rho.shape:
-            raise ParameterError("expectation: dimension mismatch")
-        return complex((ob @ state.rho).diagonal().sum())
-    ob = np.asarray(ob)
+    ob = observable if sp.issparse(observable) else np.asarray(observable)
     if ob.shape != state.rho.shape:
         raise ParameterError("expectation: dimension mismatch")
-    return complex(np.trace(ob @ state.rho))
+    return complex((ob @ state.rho).diagonal().sum())
 
 
 def reduce_cavity(state: TruncatedState) -> TruncatedState:
@@ -369,11 +343,10 @@ def reduce_cavity(state: TruncatedState) -> TruncatedState:
 
 
 def steady_moment_state(params: SystemParams, omega_l: float,
-                        space: SpaceSpec,
-                        method: str = "auto") -> tuple[MomentState, TruncatedState]:
+                        space: SpaceSpec) -> tuple[MomentState, TruncatedState]:
     """Steady state plus its first/second moments folded into a MomentState."""
     gen = build_liouvillian(params, omega_l, space)
-    state = steady_state(gen, space.dims, method=method)
+    state = steady_state(gen, space.dims)
     a_c = cavity_annihilation(space)
     s1 = expectation(state, a_c)
     s3 = expectation(state, a_c.conj().T @ a_c).real
@@ -393,18 +366,17 @@ def steady_moment_state(params: SystemParams, omega_l: float,
     return MomentState(complex(s1), complex(s2), s3, complex(s4), s5, s6), state
 
 
-def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpec,
-                           rel_tol: float = 1e-6, max_rounds: int = 4,
+def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpec
                            ) -> tuple[MomentState, TruncatedState, SpaceSpec]:
     """Raise the cavity cutoff by 2 until the reported moments settle."""
     current = space
     mstate, state = steady_moment_state(params, omega_l, current)
-    for _ in range(max_rounds):
+    for _ in range(_CUTOFF_ROUNDS):
         bigger = current.with_cavity_cutoff(current.cavity_cutoff + 2)
         m2, s2 = steady_moment_state(params, omega_l, bigger)
         ref = np.abs(mstate.packed())
         change = np.max(np.abs(m2.packed() - mstate.packed()) / np.maximum(ref, 1e-300))
-        if change < rel_tol:
+        if change < _CUTOFF_REL_TOL:
             return m2, s2, bigger
         current, mstate, state = bigger, m2, s2
     raise SingularSystemError(
@@ -447,51 +419,50 @@ class WignerGrid:
         return m2 - 0.5
 
 
-def _displacement_elements(gamma: np.ndarray, dim: int) -> np.ndarray:
-    """<m|D(gamma)|n> for a batch of displacements, shape (len(gamma), dim, dim).
+def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray) -> WignerGrid:
+    """W(alpha) = (2/pi) tr[rho D(2 alpha) P] on the grid alpha = x + i p.
 
-    Built from the corner element by stable two-term recurrences; every
-    entry is bounded by 1 so there is no overflow risk.
+    With h the Hermitian part of rho (D P is Hermitian, so only h counts),
+    W = (2/pi) [sum_m h_mm f_mm + 2 sum_{m<n} Re(h_mn f_mn)], where
+    f_mn = <n|D(2 alpha) P|m> is pi/2 times the Wigner function of |m><n|:
+    with x = |2 alpha|**2 and k = n - m, f_mn = (-1)^m sqrt(m!/n!)
+    (2 alpha)^k exp(-x/2) L_m^(k)(x) (Cahill and Glauber, Phys. Rev. 177,
+    1882 (1969)), of modulus at most 1.  Each diagonal k starts from
+    f_0k = 2 alpha f_0,k-1 / sqrt(k), f_00 = exp(-x/2), and runs the Laguerre
+    recurrence in m, whose coefficients are real:
+    f_m+1,n+1 = ((x - m - n - 1) f_mn - sqrt(m n) f_m-1,n-1) / sqrt((m+1)(n+1)).
+    Rounding stays at the level of the largest f_mn.  A recurrence along
+    the rows of f instead amplifies it where x > n: on a coherent state with
+    alpha = 10 in dimension 200 that was off by 2.8e6.
     """
-    gamma = np.asarray(gamma, dtype=complex)
-    out = np.empty((gamma.size, dim, dim), dtype=complex)
-    rt = np.sqrt(np.arange(dim + 1, dtype=float))
-    out[:, 0, 0] = np.exp(-0.5 * np.abs(gamma) ** 2)
-    for m in range(dim - 1):
-        out[:, m + 1, 0] = gamma * out[:, m, 0] / rt[m + 1]
-    for n in range(dim - 1):
-        out[:, 0, n + 1] = -np.conj(gamma) * out[:, 0, n] / rt[n + 1]
-        for m in range(dim - 1):
-            out[:, m + 1, n + 1] = (rt[n + 1] * out[:, m, n]
-                                    + gamma * out[:, m, n + 1]) / rt[m + 1]
-    return out
-
-
-def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray,
-           chunk: int = 2048) -> WignerGrid:
-    """W(alpha) = (2/pi) tr[rho D(2 alpha) P] on the grid alpha = x + i p."""
     if len(state.dims) != 1:
         raise ParameterError("wigner: reduce to the cavity mode first")
     dim = state.dims[0]
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    alphas = (xs[:, None] + 1j * ps[None, :]).ravel()
-    signs = (-1.0) ** np.arange(dim)
-    w = np.empty(alphas.size)
-    for start in range(0, alphas.size, chunk):
-        batch = alphas[start:start + chunk]
-        dmat = _displacement_elements(2.0 * batch, dim)
-        w[start:start + chunk] = (2.0 / math.pi) * np.real(
-            np.einsum("nm,kmn,n->k", state.rho, dmat, signs)
-        )
-    return WignerGrid(xs, ps, w.reshape(xs.size, ps.size))
+    two_alpha = 2.0 * (xs[:, None] + 1j * ps[None, :])
+    x = np.abs(two_alpha) ** 2
+    h = 0.5 * (state.rho + state.rho.conj().T)
+    corner = np.exp(-0.5 * x).astype(complex)       # f_0k of the current diagonal
+    w = np.zeros(x.shape)
+    for k in range(dim):
+        if k > 0:
+            corner = two_alpha * corner / math.sqrt(k)
+        prev, cur = 0.0, corner
+        for m in range(dim - k):
+            n = m + k
+            w += (2.0 if k else 1.0) * (h[m, n] * cur).real
+            if n + 1 < dim:
+                prev, cur = cur, (((x - (m + n + 1)) * cur - math.sqrt(m * n) * prev)
+                                  / math.sqrt((m + 1) * (n + 1)))
+    return WignerGrid(xs, ps, (2.0 / math.pi) * w)
 
 
 def wigner_grid_for_state(state: TruncatedState, n_points: int = 101,
                           n_sigma: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
     """Square grid centered on the field amplitude, wide enough for the
     normalization check (roughly n_sigma standard deviations per quadrature)."""
-    a = sp.csr_matrix(np.diag(np.sqrt(np.arange(1, state.dims[0])), 1).astype(complex))
+    a = _destroy(state.dims[0])
     mean = expectation(state, a)
     n_cav = expectation(state, a.conj().T @ a).real
     spread = math.sqrt(max(n_cav - abs(mean) ** 2, 0.0) + 0.5)
@@ -528,8 +499,7 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     if not space.probe_enabled:
         raise ParameterError("probe_spectrum: space must enable the probe mode")
 
-    base = SpaceSpec(space.cavity_cutoff, space.n_atoms, space.atom_model,
-                     space.atom_cutoff, probe_enabled=False)
+    base = replace(space, probe_enabled=False)
     gen0 = build_liouvillian(params, omega_l, base)
     bare = steady_state(gen0, base.dims)
     a_bare = cavity_annihilation(base)
@@ -590,24 +560,6 @@ class StochasticCheckReport:
     diffusion: float
     method: str
     seed: int
-    extras: dict = field(default_factory=dict)
-
-
-def _component_structure(propagator: np.ndarray, deltas: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Labels and per-component phase slopes if the noise kick is a scalar on
-    every connected block of the propagator pattern; None otherwise."""
-    scale = np.max(np.abs(propagator))
-    pattern = sp.csr_matrix(np.abs(propagator) > 1e-13 * max(scale, 1e-300))
-    n_comp, labels = connected_components(pattern, directed=True, connection="weak")
-    slopes = np.empty(n_comp)
-    span = max(np.max(np.abs(deltas)), 1.0)
-    for c in range(n_comp):
-        vals = deltas[labels == c]
-        if np.max(vals) - np.min(vals) > 1e-9 * span:
-            return None
-        slopes[c] = vals.mean()
-    return labels, slopes
 
 
 def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
@@ -620,11 +572,12 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
 
     Each step applies half the deterministic propagator, the exact unitary
     kick exp(-i sqrt(diffusion) dW O), and the second deterministic half.
-    When the deterministic propagator decomposes into blocks on which the
-    kick acts as a single scalar phase (true for number-operator noise on a
-    driveless cavity), the whole trajectory average collapses to one phase
-    average per block, which is taken instead of stepping explicitly; the
-    result is identical to the stepwise path for the same seed.
+    When the kick commutes with the deterministic generator (true for
+    number-operator noise on a driveless cavity), every trajectory is the
+    deterministic evolution times one phase per eigenvalue difference of O,
+    driven by the summed noise; the trajectory average is then taken over
+    those phases instead of stepping explicitly.  The result equals the
+    stepwise path for the same seed.
     """
     op = operator.toarray() if sp.issparse(operator) else np.asarray(operator, dtype=complex)
     dim = op.shape[0]
@@ -649,40 +602,37 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     rho0 = vecs.conj().T @ np.asarray(initial, dtype=complex) @ vecs
     v0 = rho0.ravel()
 
-    propagator = expm(gen_eig * dt)
-    structure = None if force_stepwise else _component_structure(propagator, deltas)
+    # in this basis the kick is diagonal with entries deltas; it commutes with
+    # the generator when no entry of gen_eig links unequal deltas
+    scale = np.max(np.abs(gen_eig))
+    rows, cols = np.nonzero(np.abs(gen_eig) > 1e-13 * max(scale, 1e-300))
+    span = max(np.max(np.abs(deltas)), 1.0)
+    commutes = np.all(np.abs(deltas[rows] - deltas[cols]) <= 1e-9 * span)
     rng = np.random.default_rng(seed)
     root_d = math.sqrt(diffusion)
-    chunk = 2048
 
-    if structure is not None:
-        labels, slopes = structure
-        phase_sums = np.zeros(slopes.size, dtype=complex)
-        done = 0
-        while done < n_traj:
-            c = min(chunk, n_traj - done)
-            wiener = rng.standard_normal((c, n_steps)) * math.sqrt(dt)
-            totals = wiener.sum(axis=1)
-            phase_sums += np.exp(-1j * root_d * np.outer(totals, slopes)).sum(axis=0)
-            done += c
+    def wiener_chunks():
+        """Noise increments of all trajectories, 2048 trajectories at a time."""
+        for start in range(0, n_traj, 2048):
+            yield rng.standard_normal((min(2048, n_traj - start), n_steps)) * math.sqrt(dt)
+
+    if commutes and not force_stepwise:
+        slopes, labels = np.unique(deltas, return_inverse=True)
+        phase_sums = sum(np.exp(-1j * root_d * np.outer(wiener.sum(axis=1), slopes)).sum(axis=0)
+                         for wiener in wiener_chunks())
         factors = (phase_sums / n_traj)[labels]
         v_mc = expm(gen_eig * t_end) @ v0 * factors
         method = "factored"
     else:
-        half = expm(gen_eig * (0.5 * dt))
-        half_t = half.T.copy()
+        half_t = expm(gen_eig * (0.5 * dt)).T.copy()
         acc = np.zeros(dim * dim, dtype=complex)
-        done = 0
-        while done < n_traj:
-            c = min(chunk, n_traj - done)
-            wiener = rng.standard_normal((c, n_steps)) * math.sqrt(dt)
-            states = np.broadcast_to(v0, (c, dim * dim)).copy()
+        for wiener in wiener_chunks():
+            states = np.broadcast_to(v0, (len(wiener), dim * dim)).copy()
             for k in range(n_steps):
                 states = states @ half_t
                 states *= np.exp(-1j * root_d * wiener[:, k, None] * deltas[None, :])
                 states = states @ half_t
             acc += states.sum(axis=0)
-            done += c
         v_mc = acc / n_traj
         method = "stepwise"
 

@@ -31,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SpectrumResult
-from .errors import ParameterError, SingularSystemError, StepSizeError
+from .errors import ParameterError, SingularSystemError
 from .model import SystemParams
 
 __all__ = [
     "MomentState",
     "derivative",
     "steady_state",
-    "integrate",
     "regression_spectrum",
     "per_atom_steady_state",
     "intensity_from_state",
@@ -231,49 +230,6 @@ def steady_state(params: SystemParams, omega_l: float | np.ndarray) -> MomentSta
     omegas = np.asarray(omega_l, dtype=float)
     x, _, _ = _steady_solution(params, omegas.reshape(-1))
     return MomentState.from_packed(x.reshape(omegas.shape + (9,)))
-
-
-def integrate(params: SystemParams, omega_l: float, state0: MomentState,
-              t_end: float, dt: float, rtol: float = 1e-8,
-              atol: float = 1e-12) -> tuple[np.ndarray, list[MomentState]]:
-    """Fixed-step 4th-order integration of the moment equations.
-
-    Each step is taken twice (one full step, two half steps) and the
-    difference serves as the local error estimate; a step whose estimate
-    exceeds ``atol + rtol * |state|`` raises :class:`StepSizeError` rather
-    than silently degrading the trajectory.
-    """
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ParameterError("integrate: t_end and dt must be positive")
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return derivative(params, omega_l, MomentState.from_packed(x)).packed()
-
-    def rk4(x: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    x = state0.packed()
-    states = [state0]
-    for k in range(n_steps):
-        full = rk4(x, h)
-        half = rk4(rk4(x, 0.5 * h), 0.5 * h)
-        err = np.max(np.abs(full - half))
-        tol = atol + rtol * max(np.max(np.abs(half)), 1.0)
-        if err > tol:
-            raise StepSizeError(
-                f"integrate: local error {err:.3e} exceeds tolerance {tol:.3e} "
-                f"at t={times[k]:.6g}; reduce dt"
-            )
-        x = half
-        states.append(MomentState.from_packed(x))
-    return times, states
 
 
 # --- correlation spectrum via the regression of the first-moment system ----

@@ -335,13 +335,14 @@ def check_coherent_state_preservation(seed: int) -> CheckResult:
         q = _random_params(rng, int(rng.choice([1, 2, 5])))
         q = q.replace(tau_indiv=None, tau_common=None, tau_jitter=None)
         ss = moments.steady_state(q, rng.uniform(-3, 3))
-        scale = max(abs(ss.s1) ** 2, 1e-300)
+        # each residual relative to the moment it tests
+        n1, n2 = abs(ss.s1), abs(ss.s2)
         worst_factor = max(
             worst_factor,
-            abs(ss.s3 - abs(ss.s1) ** 2) / scale,
-            abs(ss.s5 - abs(ss.s2) ** 2) / scale,
-            abs(ss.s4 - ss.s1.conjugate() * ss.s2) / scale,
-            abs(ss.s6 - abs(ss.s2) ** 2) / scale if q.n_atoms > 1 else 0.0,
+            abs(ss.s3 - n1 ** 2) / max(n1 ** 2, 1e-300),
+            abs(ss.s4 - ss.s1.conjugate() * ss.s2) / max(n1 * n2, 1e-300),
+            abs(ss.s5 - n2 ** 2) / max(n2 ** 2, 1e-300),
+            abs(ss.s6 - n2 ** 2) / max(n2 ** 2, 1e-300) if q.n_atoms > 1 else 0.0,
         )
     ok = purity_gap < 1e-6 and worst_factor < 1e-12
     return _result("coherent-state-preservation", start, None, ok,

@@ -60,5 +60,12 @@ def test_coherent_state_preservation():
     _run(validation.check_coherent_state_preservation)
 
 
+def test_coherent_state_preservation_scales_each_moment_by_its_own_size():
+    # at this seed a draw has |s2| = 762 |s1|: residuals of the emitter
+    # moments measured against |s1|^2 would read rounding as a failure
+    result = validation.check_coherent_state_preservation(115)
+    assert result.passed, result.detail
+
+
 def test_linear_regime_boundary():
     _run(validation.check_linear_regime_boundary)

@@ -208,6 +208,15 @@ def test_spectrum_probe_above_budget_is_a_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["profile", "spectrum", "wigner", "height-scan"])
+def test_config_seed_key_is_rejected(tmp_path, command, capsys):
+    # no config-reading command uses a seed, so the key is an unknown field
+    cfg = tmp_path / "seeded.json"
+    cfg.write_text(json.dumps({**json.loads(Path(RESONANT).read_text()), "seed": 3}))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_wigner_vacuum(tmp_path):
     cfg = tmp_path / "vac.json"
     cfg.write_text(json.dumps({

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import eval_laguerre
 
 from cavlab import analytic, liouville, moments
 from cavlab.errors import BudgetError, ParameterError
@@ -154,29 +155,33 @@ def test_hp_oracle_matches_moment_oracle():
 
 
 def test_two_level_equals_hp_at_cutoff_one():
-    # constant shifts leave Hermitian-jump dissipators unchanged, so the
-    # sigma_z/2 and number-operator couplings generate identical dynamics
+    # a two-level emitter is the one-quantum ladder: its dephasing couples
+    # through the number operator n, not sigma_z/2 = n - 1/2, which is exact
+    # because a constant shift leaves a Hermitian jump's dissipator unchanged
+    number = sp.csr_matrix(np.diag([0.0, 1.0]).astype(complex))
+    shifted = sp.csr_matrix(np.diag([-0.5, 0.5]).astype(complex))
+    gap = liouville._dissipator_superop(shifted) - liouville._dissipator_superop(number)
+    assert np.max(np.abs(gap.toarray())) <= 1e-15
     p = _params(n_atoms=2, tau_indiv=0.7, tau_common=1.4, beta=0.3)
     sp_tl = SpaceSpec(cavity_cutoff=4, n_atoms=2, atom_model="two_level")
     sp_hp = SpaceSpec(cavity_cutoff=4, n_atoms=2, atom_model="hp", atom_cutoff=1)
-    st_tl = liouville.steady_state(liouville.build_liouvillian(p, 0.1, sp_tl), sp_tl.dims)
-    st_hp = liouville.steady_state(liouville.build_liouvillian(p, 0.1, sp_hp), sp_hp.dims)
-    assert np.max(np.abs(st_tl.rho - st_hp.rho)) < 1e-12
+    assert sp_tl.dims == sp_hp.dims
+    gen_tl = liouville.build_liouvillian(p, 0.1, sp_tl)
+    gen_hp = liouville.build_liouvillian(p, 0.1, sp_hp)
+    assert (gen_tl != gen_hp).nnz == 0
 
 
 def test_marching_agrees_with_direct():
     p = _params(beta=0.4, tau_indiv=0.5)
     space = SpaceSpec(cavity_cutoff=5, n_atoms=1, atom_cutoff=2)
     gen = liouville.build_liouvillian(p, 0.0, space)
-    direct = liouville.steady_state(gen, space.dims, method="direct")
-    marched = liouville.steady_state(gen, space.dims, method="marching", tol=1e-10)
-    assert np.max(np.abs(direct.rho - marched.rho)) < 1e-9
+    direct = liouville._direct_steady(gen, space.dimension)
+    marched = liouville._marching_steady(gen, space.dimension)
+    assert np.max(np.abs(direct - marched)) < 1e-9
 
 
 def test_steady_state_rejects_bad_input():
     gen = liouville.build_liouvillian(_empty(), 0.0, SpaceSpec(3, 0))
-    with pytest.raises(ParameterError, match="method"):
-        liouville.steady_state(gen, (4,), method="magic")
     with pytest.raises(ParameterError, match="shape"):
         liouville.steady_state(gen, (5,))
 
@@ -215,6 +220,35 @@ def test_wigner_coherent_state():
     assert abs(ps[peak[1]] - alpha.imag) < 0.1
     at_alpha = liouville.wigner(state, np.array([alpha.real]), np.array([alpha.imag]))
     assert at_alpha.w[0, 0] == pytest.approx(2.0 / math.pi, rel=1e-10)
+
+
+WIDE = np.linspace(-6.0, 6.0, 49)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_wigner_fock_state_is_exact(n):
+    # W of |n><n| is (2/pi) (-1)^n exp(-2 r^2) L_n(4 r^2)
+    rho = np.zeros((n + 4, n + 4), dtype=complex)
+    rho[n, n] = 1.0
+    grid = liouville.wigner(TruncatedState(rho, (n + 4,)), WIDE, WIDE)
+    r2 = WIDE[:, None] ** 2 + WIDE[None, :] ** 2
+    exact = (2.0 / math.pi) * (-1) ** n * np.exp(-2.0 * r2) * eval_laguerre(n, 4.0 * r2)
+    assert np.max(np.abs(grid.w - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, dim, center", [
+    (4.0 + 2.0j, 80, 0j),
+    # |2 alpha|^2 = 400: a recurrence along rows of the element table is off
+    # by more than 1e6 here, the recurrence along diagonals is not
+    (8.0 + 6.0j, 260, 8.0 + 6.0j),
+])
+def test_wigner_coherent_state_is_exact(alpha, dim, center):
+    amp = liouville.coherent_vector(alpha, dim)
+    xs, ps = WIDE + center.real, WIDE + center.imag
+    grid = liouville.wigner(TruncatedState(np.outer(amp, amp.conj()), (dim,)), xs, ps)
+    beta = xs[:, None] + 1j * ps[None, :]
+    exact = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta - alpha) ** 2)
+    assert np.max(np.abs(grid.w - exact)) <= 1e-10
 
 
 def test_wigner_jitter_photon_number_from_grid():

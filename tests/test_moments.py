@@ -1,11 +1,11 @@
-"""Moment-equation oracle: steady states, integration, regression spectrum."""
+"""Moment-equation oracle: steady states and the regression spectrum."""
 import math
 
 import numpy as np
 import pytest
 
 from cavlab import analytic, moments
-from cavlab.errors import ParameterError, StepSizeError
+from cavlab.errors import ParameterError
 from cavlab.model import SystemParams
 from cavlab.moments import MomentState
 
@@ -161,40 +161,6 @@ def test_intensity_from_state_matches_closed_form():
     assert big_t == pytest.approx(ref_t, rel=1e-10)
     with pytest.raises(ParameterError):
         moments.intensity_from_state(p.replace(beta=0.0), ss)
-
-
-# --- time integration ---------------------------------------------------------
-
-def test_integration_relaxes_to_steady_state():
-    p = _params(tau_indiv=1 / 3.0)
-    rate = min(p.kappa, p.gamma_par, p.gamma_perp)
-    _, states = moments.integrate(p, 0.0, MomentState.vacuum(),
-                                  t_end=20.0 / rate, dt=0.02)
-    ss = moments.steady_state(p, 0.0)
-    assert np.max(np.abs(states[-1].packed() - ss.packed())) < 1e-6
-
-
-def test_integration_constant_from_steady_state():
-    p = _params(tau_common=0.5)
-    ss = moments.steady_state(p, 0.3)
-    _, states = moments.integrate(p, 0.3, ss, t_end=5.0, dt=0.05)
-    drift = np.max(np.abs(states[-1].packed() - ss.packed()))
-    assert drift < 1e-9
-
-
-def test_integration_halving_dt_converged():
-    p = _params(tau_indiv=0.8)
-    _, coarse = moments.integrate(p, 0.0, MomentState.vacuum(), t_end=8.0, dt=0.01)
-    _, fine = moments.integrate(p, 0.0, MomentState.vacuum(), t_end=8.0, dt=0.005)
-    assert np.max(np.abs(coarse[-1].packed() - fine[-1].packed())) < 1e-8
-
-
-def test_integration_rejects_oversized_step():
-    p = _params(g=40.0)        # fast Rabi oscillation needs a small step
-    with pytest.raises(StepSizeError):
-        moments.integrate(p, 0.0, MomentState.vacuum(), t_end=10.0, dt=1.0)
-    with pytest.raises(ParameterError):
-        moments.integrate(p, 0.0, MomentState.vacuum(), t_end=0.0, dt=0.1)
 
 
 # --- regression spectrum -------------------------------------------------------

@@ -1,8 +1,9 @@
 """Properties over the acceptance gate's parameter domain (rates 1e-2..1e2).
 
 The array forms of the closed forms and of the moment solve must equal
-per-point calls, and the resolvent spectrum, the flux identity and the
-height bound must hold on every draw.
+per-point calls, and the resolvent spectrum, the flux identity, the
+relaxation of the moment equations and the height bound must hold on every
+draw.
 """
 import math
 
@@ -86,6 +87,15 @@ def test_flux_identity(p):
     big_r, big_t = moments.intensity_from_state(p, state)
     loss = p.n_atoms * p.gamma_par * state.s5 / flux
     assert np.max(np.abs(big_r + big_t + loss - 1.0)) <= 1e-10
+
+
+@given(gate_params())
+def test_moment_equations_relax(p):
+    # every mode of the homogeneous moment system decays, so any initial
+    # state relaxes to the steady state
+    _, _, matrix = moments._steady_solution(p, OMEGAS)
+    assert matrix.shape == (OMEGAS.size, 9, 9)
+    assert np.max(np.linalg.eigvals(matrix).real) < 0.0
 
 
 @given(gate_params())
