@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +99,6 @@ def _emit(args, config: dict, header: dict, columns: list[str],
         sys.stdout.write(text)
 
 
-def _map_ordered(fn, tasks: list, workers: int) -> list:
-    """Dispatch tasks to a pool; results come back in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _chunks(grid: np.ndarray, workers: int) -> list[np.ndarray]:
-    n = max(1, min(workers, len(grid)))
-    return [chunk for chunk in np.array_split(grid, n) if len(chunk)]
-
-
 def _grid_text(grid: np.ndarray) -> str:
     return f"{grid[0]:.17g}:{grid[-1]:.17g}:{len(grid)}"
 
@@ -150,12 +136,6 @@ def cmd_profile(args) -> int:
 
 # --- spectrum ----------------------------------------------------------------
 
-def _probe_chunk(task):
-    params, omega_l, chunk, epsilon, kappa_p, space = task
-    return liouville.probe_spectrum(params, omega_l, chunk, epsilon=epsilon,
-                                    kappa_p=kappa_p, space=space)
-
-
 def cmd_spectrum(args) -> int:
     params, options = _load_config(args)
     omega_l = float(options.get("omega_l", 0.0))
@@ -185,17 +165,8 @@ def cmd_spectrum(args) -> int:
         options["epsilon"], options["cutoff"] = epsilon, cutoff
         space = SpaceSpec(cavity_cutoff=cutoff, n_atoms=params.n_atoms,
                           atom_model="hp", atom_cutoff=3, probe_enabled=True)
-        parts = _map_ordered(
-            _probe_chunk,
-            [(params, omega_l, c, epsilon, kappa_p, space)
-             for c in _chunks(grid, args.workers)],
-            args.workers)
-        density = np.concatenate([p.incoherent_density for p in parts])
-        result = parts[0]
-        meta = dict(result.meta)
-        result = type(result)(omega_l=omega_l, grid=grid, incoherent_density=density,
-                              coherent_power=result.coherent_power,
-                              method=result.method, meta=meta)
+        result = liouville.probe_spectrum(params, omega_l, grid, epsilon=epsilon,
+                                          kappa_p=kappa_p, space=space)
 
     if method == "probe":
         width = float(result.meta["kappa_p"])
@@ -345,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--omega-l", dest="omega_l", type=float, help="drive frequency")
     p.add_argument("--cutoff", type=int, help="cavity cutoff for the probe method")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the grid points of --method probe")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wigner", help="steady-state Wigner function of the cavity")

@@ -13,9 +13,13 @@ emitter gives the same dynamics as sigma_z/2.
 Density matrices are vectorized row-major, vec(A rho B) = (A kron B^T) vec(rho).
 Steady states come from a sparse LU solve of the generator with one row
 replaced by the trace constraint up to Hilbert dimension 64, and from time
-marching above it.  The overall Hilbert-space dimension is
-capped by a budget, overridable through the CAVLAB_BUDGET environment
-variable.
+marching above it.  The weak-probe spectrum splits that constrained system
+into the probe populations, which do not depend on the probe detuning and
+are factored once per scan, and the probe coherences, factored per point;
+block Gauss-Seidel sweeps between the two solve each point, and a point
+whose sweeps do not reach a residual of 1e-14 is solved directly.  The
+overall Hilbert-space dimension is capped by a budget, overridable through
+the CAVLAB_BUDGET environment variable.
 """
 from __future__ import annotations
 
@@ -66,9 +70,12 @@ _DIRECT_SOLVE_LIMIT = 64
 _DIRECT_TOL = 1e-10          # relative residual of a direct steady state
 _MARCHING_TOL = 1e-9         # ... and of a marched one
 _MARCHING_ROUNDS = 60
+_BLOCK_SWEEPS = 10           # most block Gauss-Seidel sweeps per probe point
+_BLOCK_TOL = 1e-14           # residual at which a swept probe point is accepted
 _POSITIVITY_FLOOR = -1e-8    # most negative eigenvalue a steady state may have
 _CUTOFF_REL_TOL = 1e-6       # moment change that ends the cavity-cutoff scan
 _CUTOFF_ROUNDS = 4
+_WIGNER_RESCALE = 1e100      # largest running value of the Wigner recurrence
 
 
 def dimension_budget() -> int:
@@ -267,7 +274,9 @@ def _trace_indices(dim: int) -> np.ndarray:
     return np.arange(dim) * (dim + 1)
 
 
-def _direct_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
+def _constrained(gen: sp.spmatrix, dim: int) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The generator with its first row replaced by the trace constraint, and
+    the right-hand side e_0 that goes with it."""
     coo = gen.tocoo()
     keep = coo.row != 0
     rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
@@ -276,6 +285,15 @@ def _direct_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
     a = sp.csc_matrix((data, (rows, cols)), shape=gen.shape)
     b = np.zeros(dim * dim, dtype=complex)
     b[0] = 1.0
+    return a, b
+
+
+def _residual(gen: sp.spmatrix, x: np.ndarray) -> float:
+    return float(np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300))
+
+
+def _direct_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
+    a, b = _constrained(gen, dim)
     try:
         lu = splu(a)
         x = lu.solve(b)
@@ -283,7 +301,7 @@ def _direct_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
             x = x + lu.solve(b - a @ x)
     except RuntimeError as exc:
         raise SingularSystemError(f"steady_state: sparse LU failed: {exc}") from exc
-    residual = np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300)
+    residual = _residual(gen, x)
     if residual > _DIRECT_TOL:
         raise SingularSystemError(
             f"steady_state: residual {residual:.3e} above tolerance {_DIRECT_TOL:.3e}"
@@ -300,8 +318,7 @@ def _marching_steady(gen: sp.spmatrix, dim: int) -> np.ndarray:
         x = expm_multiply(gen * horizon, x)
         tr = x[_trace_indices(dim)].sum()
         x = x / tr
-        residual = np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300)
-        if residual < _MARCHING_TOL:
+        if _residual(gen, x) < _MARCHING_TOL:
             return x
         horizon = min(2.0 * horizon, 1e6 / max(rate, 1e-300))
     raise SingularSystemError("steady_state: time marching did not converge")
@@ -321,6 +338,11 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
         x = _direct_steady(gen, dim)
     else:
         x = _marching_steady(gen, dim)
+    return _state_from_vector(x, dims)
+
+
+def _state_from_vector(x: np.ndarray, dims: tuple[int, ...]) -> TruncatedState:
+    dim = int(np.prod(dims))
     rho = x.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -434,6 +456,16 @@ def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray) -> WignerGrid:
     Rounding stays at the level of the largest f_mn.  A recurrence along
     the rows of f instead amplifies it where x > n: on a coherent state with
     alpha = 10 in dimension 200 that was off by 2.8e6.
+
+    f_00 underflows beyond |alpha| = 19.3, and f_mn can grow from there by
+    more than a double holds, so every grid point carries its own
+    log-scale: a diagonal starts from the phase of f_0k times
+    exp(log |f_0k|), its real running pair is divided down whenever it
+    passes _WIGNER_RESCALE, and exp(scale) enters only the sum.  Along a
+    diagonal the running values rise out of the classically forbidden region
+    (x outside [(sqrt(n) - sqrt(m))**2, (sqrt(n) + sqrt(m))**2], an interval
+    that widens with m) and then only oscillate, so they never need scaling
+    up.
     """
     if len(state.dims) != 1:
         raise ParameterError("wigner: reduce to the cavity mode first")
@@ -441,20 +473,35 @@ def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray) -> WignerGrid:
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     two_alpha = 2.0 * (xs[:, None] + 1j * ps[None, :])
-    x = np.abs(two_alpha) ** 2
+    radius = np.abs(two_alpha)
+    x = radius ** 2
+    unit = np.exp(1j * np.angle(two_alpha))
+    with np.errstate(divide="ignore"):
+        log_radius = np.log(radius)       # -inf at alpha = 0, where f_0k = 0 for k > 0
     h = 0.5 * (state.rho + state.rho.conj().T)
-    corner = np.exp(-0.5 * x).astype(complex)       # f_0k of the current diagonal
+    corner_scale = -0.5 * x               # log |f_0k| of the current diagonal
+    phase = np.ones(x.shape, dtype=complex)
     w = np.zeros(x.shape)
     for k in range(dim):
         if k > 0:
-            corner = two_alpha * corner / math.sqrt(k)
-        prev, cur = 0.0, corner
+            corner_scale = corner_scale + log_radius - 0.5 * math.log(k)
+            phase = phase * unit
+        # f_mn = phase * cur * exp(scale), with cur real and kept below
+        # _WIGNER_RESCALE
+        prev, cur, scale = 0.0, np.ones(x.shape), corner_scale
+        weight = np.exp(scale)
+        acc = np.zeros(x.shape, dtype=complex)
         for m in range(dim - k):
             n = m + k
-            w += (2.0 if k else 1.0) * (h[m, n] * cur).real
+            acc += h[m, n] * (cur * weight)
             if n + 1 < dim:
                 prev, cur = cur, (((x - (m + n + 1)) * cur - math.sqrt(m * n) * prev)
                                   / math.sqrt((m + 1) * (n + 1)))
+                if np.abs(cur).max() > _WIGNER_RESCALE:
+                    size = np.maximum(np.abs(cur), 1.0)
+                    prev, cur, scale = prev / size, cur / size, scale + np.log(size)
+                    weight = np.exp(scale)
+        w += (2.0 if k else 1.0) * (phase * acc).real
     return WignerGrid(xs, ps, (2.0 / math.pi) * w)
 
 
@@ -521,10 +568,9 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
 
     density = np.empty(grid.size)
     worst_backaction = 0.0
-    for k, omega in enumerate(grid):
-        delta = omega - omega_l
-        gen = (gen_fixed + delta * gen_detune).tocsr()
-        state = steady_state(gen, space.dims)
+    states = _probe_steady_states(gen_fixed, gen_detune, n_p, grid - omega_l,
+                                  space.dims)
+    for k, state in enumerate(states):
         occupation = expectation(state, n_p).real
         density[k] = occupation / (math.pi * kappa_p * epsilon ** 2)
         probe_amp = abs(expectation(state, a_p))
@@ -546,6 +592,75 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
               "photon_number": photon_number, "dims": space.dims,
               "total_density": density},
     )
+
+
+def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
+                         n_p: sp.spmatrix, deltas: np.ndarray,
+                         dims: tuple[int, ...]):
+    """Steady state of gen_fixed + delta * gen_detune for every probe detuning.
+
+    gen_detune, the superoperator of the probe number n_p, is diagonal and
+    nonzero exactly on the probe coherences (Q: rho_01 and rho_10); the probe
+    populations (P: rho_00, which holds the trace row, and rho_11) do not see
+    the detuning.  Only the weak probe coupling links P and Q, so the
+    constrained system splits into a detuning-independent block A_PP,
+    factored once per call, and A_QQ + delta diag(shift_Q), factored per
+    point.  Block Gauss-Seidel sweeps x_P = A_PP^-1 (b_P - A_PQ x_Q),
+    x_Q = A_QQ^-1 (-A_QP x_P) run while the true residual of the full
+    generator at least halves, at most _BLOCK_SWEEPS times.  The last sweep
+    is kept, not the one of least residual: the residual is set by the O(1)
+    rho_00 and does not see the O(epsilon^2) rho_11, which each sweep takes
+    from the coherences of the one before.  A point whose residual ends
+    above _BLOCK_TOL is solved directly on the full generator.
+
+    Two exact shortcuts halve what is factored.  A_PP is block triangular
+    (probe decay takes rho_11 to rho_00, nothing takes rho_00 to rho_11), so
+    it is solved through the LUs of its rho_11 and rho_00 blocks, rho_11
+    first.  The generator maps rho^dagger to (L rho)^dagger, so only the
+    rho_01 half of Q is solved and rho_10 is its mirror.
+
+    Above the direct-solve limit every point is marched by steady_state.
+    """
+    dim = int(np.prod(dims))
+    if dim > _DIRECT_SOLVE_LIMIT:
+        for delta in deltas:
+            yield steady_state((gen_fixed + delta * gen_detune).tocsr(), dims)
+        return
+    shift = gen_detune.diagonal()
+    excited = np.repeat(n_p.diagonal().real, dim) > 0.5    # probe excited in the row
+    blocks = [np.flatnonzero((shift == 0) & excited),
+              np.flatnonzero((shift == 0) & ~excited),
+              np.flatnonzero(shift.imag > 0)]                    # rho_01
+    mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()[blocks[2]]
+    a, b = _constrained(gen_fixed, dim)
+    a = a.tocsr()
+    rest = [np.setdiff1d(np.arange(dim * dim), idx) for idx in blocks]
+    diagonal = [a[idx][:, idx].tocsc() for idx in blocks]
+    coupling = [a[idx][:, others] for idx, others in zip(blocks, rest)]
+    try:
+        lu_p = [splu(diagonal[0]), splu(diagonal[1])]
+    except RuntimeError as exc:
+        raise SingularSystemError(f"probe_spectrum: sparse LU failed: {exc}") from exc
+    for delta in deltas:
+        gen = (gen_fixed + delta * gen_detune).tocsr()
+        residual = np.inf
+        try:
+            lu_q = splu((diagonal[2] + sp.diags(delta * shift[blocks[2]])).tocsc())
+            x = np.zeros(dim * dim, dtype=complex)
+            previous = np.inf
+            for _ in range(_BLOCK_SWEEPS):
+                for idx, others, c, lu in zip(blocks, rest, coupling, lu_p + [lu_q]):
+                    x[idx] = lu.solve(b[idx] - c @ x[others])
+                x[mirror] = x[blocks[2]].conj()
+                residual = _residual(gen, x)
+                if residual > 0.5 * previous:
+                    break
+                previous = residual
+        except RuntimeError:
+            residual = np.inf
+        if residual > _BLOCK_TOL:
+            x = _direct_steady(gen, dim)
+        yield _state_from_vector(x, dims)
 
 
 # --- stochastic-Hamiltonian consistency check -------------------------------
@@ -621,7 +736,7 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
         phase_sums = sum(np.exp(-1j * root_d * np.outer(wiener.sum(axis=1), slopes)).sum(axis=0)
                          for wiener in wiener_chunks())
         factors = (phase_sums / n_traj)[labels]
-        v_mc = expm(gen_eig * t_end) @ v0 * factors
+        v_mc = expm_multiply(gen_eig * t_end, v0) * factors
         method = "factored"
     else:
         half_t = expm(gen_eig * (0.5 * dt)).T.copy()
@@ -637,7 +752,7 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
         method = "stepwise"
 
     dissipator = -0.5 * diffusion * deltas ** 2
-    v_ref = expm((gen_eig + np.diag(dissipator)) * t_end) @ v0
+    v_ref = expm_multiply((gen_eig + np.diag(dissipator)) * t_end, v0)
     diff = (v_mc - v_ref).reshape(dim, dim)
     diff = 0.5 * (diff + diff.conj().T)
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -178,23 +178,18 @@ def test_spectrum_probe_matches_analytic(tmp_path):
     assert np.max(dev) < 0.02
 
 
-def test_spectrum_probe_worker_pool_keeps_grid_order(tmp_path):
-    cfg = tmp_path / "one.json"
-    cfg.write_text(json.dumps({
-        "g": 2.0, "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5, "omega_c": 0.0,
-        "omega_a": 0.0, "gamma_par": 2.0, "tau_common": 1.0 / 3.0, "beta": 0.05}))
-    serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["spectrum", "--config", str(cfg), "--method", "probe", "--cutoff", "2",
-            "--grid=-3:3:5"]
-    assert cli.main(argv + ["--out", str(serial)]) == 0
-    assert cli.main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
-
-
-def test_workers_flag_belongs_to_spectrum_only():
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(
-            ["profile", "--config", RESONANT, "--workers", "2"])
+@pytest.mark.parametrize("argv", [
+    ["profile", "--config", RESONANT],
+    ["spectrum", "--config", RESONANT, "--method", "probe", "--grid=-1:1:3"],
+    ["wigner", "--config", RESONANT],
+    ["height-scan", "--config", RESONANT],
+    ["validate"],
+], ids=["profile", "spectrum", "wigner", "height-scan", "validate"])
+def test_every_command_rejects_workers(argv):
+    # no command runs a process pool
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--workers", "2"])
+    assert exit_info.value.code == 2
 
 
 def test_spectrum_probe_requires_explicit_grid():

@@ -251,6 +251,19 @@ def test_wigner_coherent_state_is_exact(alpha, dim, center):
     assert np.max(np.abs(grid.w - exact)) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [19.5 + 0.0j, 15.0 + 12.0j])
+def test_wigner_far_from_the_origin(alpha):
+    # f_00 = exp(-2 |alpha|^2) is 0 in double precision at these points;
+    # within 0.1 of alpha the truncation at 512 states moves W by < 4e-10
+    amp = liouville.coherent_vector(alpha, 512)
+    near = np.linspace(-0.1, 0.1, 5)
+    xs, ps = alpha.real + near, alpha.imag + near
+    grid = liouville.wigner(TruncatedState(np.outer(amp, amp.conj()), (512,)), xs, ps)
+    beta = xs[:, None] + 1j * ps[None, :]
+    exact = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta - alpha) ** 2)
+    assert np.max(np.abs(grid.w - exact)) <= 1e-9
+
+
 def test_wigner_jitter_photon_number_from_grid():
     p = _empty(beta=2.0, tau_jitter=1.0)
     _, trunc, _ = liouville.converged_moment_state(
@@ -305,6 +318,66 @@ def test_probe_spectrum_rejects_bad_arguments():
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2)
     with pytest.raises(ParameterError, match="probe"):
         liouville.probe_spectrum(p, 0.0, np.array([0.0]), space=space)
+
+
+# the collective-emitter probe setup of the spectrum-triple-agreement criterion
+CRITERION_SPACE = SpaceSpec(cavity_cutoff=6, n_atoms=1, atom_model="hp",
+                            atom_cutoff=3, probe_enabled=True)
+CRITERION_GRID = np.arange(-16.0, 16.2, 0.2) + 0.1
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(liouville, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("omega_l", [0.0, 8.0])
+def test_probe_block_solve_matches_direct_solve(monkeypatch, omega_l):
+    # the two edge points and the two nearest the line centre
+    nearest = np.argsort(np.abs(CRITERION_GRID - omega_l))[:2]
+    grid = CRITERION_GRID[np.sort(np.r_[0, nearest, CRITERION_GRID.size - 1])]
+    p = _params(g=2.0 * math.sqrt(5.0), tau_common=1.0 / 3.0)
+    kwargs = dict(epsilon=0.01, kappa_p=1e-2 / math.pi, space=CRITERION_SPACE)
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    block = liouville.probe_spectrum(p, omega_l, grid, **kwargs).meta["total_density"]
+    assert len(direct) == 1                   # the bare state only: no fallback
+    monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)   # every point direct
+    full = liouville.probe_spectrum(p, omega_l, grid, **kwargs).meta["total_density"]
+    assert len(direct) == 2 + grid.size
+    assert np.max(np.abs(block - full) / full) <= 1e-12
+
+
+def test_probe_strong_coupling_falls_back_to_direct_solve(monkeypatch):
+    # at epsilon 0.9 the block sweeps diverge
+    p = _empty(beta=1.0)
+    grid = np.linspace(-3.0, 3.0, 5)
+    kwargs = dict(epsilon=0.9, kappa_p=1.0,
+                  space=SpaceSpec(cavity_cutoff=13, n_atoms=0, probe_enabled=True))
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    swept = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
+    assert len(direct) == 1 + grid.size
+    monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)
+    full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
+    assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])
+
+
+def test_probe_factors_the_populations_once_per_scan(monkeypatch):
+    p = _params(tau_common=1.0 / 3.0)
+    space = SpaceSpec(cavity_cutoff=2, n_atoms=1, atom_cutoff=1, probe_enabled=True)
+    grid = np.linspace(-16.0, 16.0, 161)
+    factored = _count_calls(monkeypatch, "splu")
+    liouville.probe_spectrum(p, 0.0, grid, epsilon=0.01, kappa_p=1e-2 / math.pi,
+                             space=space)
+    # the bare state, the rho_11 and rho_00 blocks of the probe populations
+    # once, and the coherence block at each point
+    assert len(factored) == 3 + grid.size
 
 
 # --- stochastic dephasing consistency ------------------------------------------------

@@ -3,15 +3,17 @@
 The array forms of the closed forms and of the moment solve must equal
 per-point calls, and the resolvent spectrum, the flux identity, the
 relaxation of the moment equations and the height bound must hold on every
-draw.
+draw.  The JSON round trip of a parameter record holds over rates
+1e-4..1e4.
 """
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cavlab import analytic, moments
-from cavlab.model import SystemParams
+from cavlab.model import SystemParams, params_from_json, params_to_dict
 
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
@@ -102,3 +104,19 @@ def test_moment_equations_relax(p):
 def test_height_bounded_by_cooperativity(p):
     report = analytic.lorentzian_height(p)
     assert report.height <= report.cooperativity * (1 + 1e-12)
+
+
+_wide_rate = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
+_wide_time = st.one_of(st.none(), _wide_rate.map(lambda rate: 1.0 / rate))
+
+
+@given(g=_wide_rate, n_atoms=st.integers(0, 20), kappa1=_wide_rate,
+       kappa2=_wide_rate, gamma_par=_wide_rate, omega_c=st.floats(-1e4, 1e4),
+       omega_a=st.floats(-1e4, 1e4), tau_indiv=_wide_time, tau_common=_wide_time,
+       tau_jitter=_wide_time, beta=st.complex_numbers(max_magnitude=1e4))
+def test_json_round_trip_over_wide_rates(tau_indiv, tau_common, tau_jitter, **fields):
+    # each noise channel on (a finite time) or off (null in the JSON)
+    times = dict(tau_indiv=tau_indiv, tau_common=tau_common, tau_jitter=tau_jitter)
+    p = SystemParams(**fields, **{key: value or math.inf for key, value in times.items()})
+    # the text a config or an output header carries
+    assert params_from_json(json.dumps(params_to_dict(p))) == p
