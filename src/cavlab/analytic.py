@@ -14,11 +14,12 @@ The incoherent photon fraction enters through a single dimensionless height
 detuning.  ``h`` is bounded by the cooperativity, and in the
 lifetime-dominated regime by a bound linear in the dephasing rates.
 
-The steady-state and coefficient functions also accept an array of drive
-frequencies ``omega_l`` and then return arrays of its shape (a
-:class:`SteadyStateSummary` of arrays for the steady states), equal to
-per-point calls up to rounding.  :func:`emission_spectrum` takes one drive
-frequency and an array of emission frequencies.
+:func:`steady_state_summary` is the one closed-form steady state, with or
+without emitters.  It and the coefficient functions also accept an array of
+drive frequencies ``omega_l`` and then return arrays of its shape (a
+:class:`SteadyStateSummary` of arrays), equal to per-point calls up to
+rounding.  :func:`emission_spectrum` takes one drive frequency and an array
+of emission frequencies.
 """
 from __future__ import annotations
 
@@ -32,17 +33,13 @@ from .model import SystemParams, derive
 
 __all__ = [
     "SteadyStateSummary",
-    "CoefficientSet",
     "HeightReport",
     "SpectrumResult",
     "ReducedMomentSystem",
     "mean_field",
-    "empty_cavity_steady_state",
-    "cavity_moments",
     "steady_state_summary",
     "field_coefficients",
     "intensity_coefficients",
-    "coefficient_set",
     "dephasing_fraction",
     "collective_rate_ratio",
     "lorentzian_height",
@@ -61,17 +58,6 @@ class SteadyStateSummary:
     photon_number: float       # <a_c^dag a_c>
     p_exc: float               # excited-state population per emitter
     coherence_ratio: float     # photon_number / |mean_field|**2  (>= 1)
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Field and intensity reflection/transmission at one drive frequency."""
-
-    omega_l: float
-    r: complex
-    t: complex
-    reflectance: float     # includes incoherently scattered photons
-    transmittance: float
 
 
 @dataclass(frozen=True)
@@ -129,19 +115,6 @@ def _field_denominator(params: SystemParams, omega_l: float) -> complex:
 def mean_field(params: SystemParams, omega_l: float) -> complex:
     """Steady-state coherent cavity amplitude <a_c>."""
     return math.sqrt(2.0 * params.kappa1) * params.beta / _field_denominator(params, omega_l)
-
-
-def empty_cavity_steady_state(params: SystemParams, omega_l: float) -> SteadyStateSummary:
-    """Steady state of the bare (emitter-free) cavity, jitter allowed."""
-    if params.n_atoms != 0:
-        raise ParameterError("empty_cavity_steady_state: requires n_atoms == 0")
-    a = mean_field(params, omega_l)
-    ratio = 1.0 + params.inv_tau_jitter / params.kappa
-    w = abs(a) ** 2
-    return SteadyStateSummary(
-        omega_l=omega_l, mean_field=a, photon_number=ratio * w,
-        p_exc=0.0, coherence_ratio=ratio,
-    )
 
 
 def dephasing_fraction(params: SystemParams) -> float:
@@ -208,7 +181,7 @@ def reduced_moment_system(params: SystemParams, omega_l: float) -> ReducedMoment
         raise ParameterError("reduced_moment_system: requires n_atoms >= 1")
     _require_no_jitter(params, "reduced_moment_system")
     d = derive(params, omega_l)
-    kappa, gp = d.kappa, d.gamma_perp
+    kappa, gp = params.kappa, params.gamma_perp
     g2 = params.g**2
     n = params.n_atoms
     big_k = kappa + gp
@@ -229,17 +202,13 @@ def reduced_moment_system(params: SystemParams, omega_l: float) -> ReducedMoment
     )
 
 
-def lorentzian_height(params: SystemParams) -> HeightReport:
-    """Height h of the incoherent photon-number Lorentzian, with bounds.
+def _height_and_determinant(params: SystemParams) -> tuple[HeightReport, float]:
+    """The height report and the determinant of the reduced 2x2 system.
 
-    ``h`` is the drive-frequency-independent prefactor defined by
-    ``photon_number = (1 + h gamma_perp**2/(gamma_perp**2 + delta_a**2))
-    * |<a_c>|**2``; it is obtained by evaluating the incoherent term of the
-    photon number on emitter resonance and dividing out the Lorentzian.
+    The determinant of :class:`ReducedMomentSystem` does not depend on the
+    drive frequency; both the height and the emitter excitation divide by
+    it.  Requires n_atoms >= 1 and the jitter channel off.
     """
-    if params.n_atoms < 1:
-        raise ParameterError("lorentzian_height: requires n_atoms >= 1")
-    _require_no_jitter(params, "lorentzian_height")
     kappa, gp = params.kappa, params.gamma_perp
     g2 = params.g**2
     n = params.n_atoms
@@ -258,43 +227,52 @@ def lorentzian_height(params: SystemParams) -> HeightReport:
     )
     return HeightReport(
         height=h, cooperativity=coop, lifetime_bound=lifetime_bound, fraction=frac,
-    )
+    ), det
 
 
-def cavity_moments(params: SystemParams, omega_l: float) -> SteadyStateSummary:
-    """Steady-state photon number and emitter excitation for n_atoms >= 1."""
+def lorentzian_height(params: SystemParams) -> HeightReport:
+    """Height h of the incoherent photon-number Lorentzian, with bounds.
+
+    ``h`` is the drive-frequency-independent prefactor defined by
+    ``photon_number = (1 + h gamma_perp**2/(gamma_perp**2 + delta_a**2))
+    * |<a_c>|**2``; it is obtained by evaluating the incoherent term of the
+    photon number on emitter resonance and dividing out the Lorentzian.
+    """
     if params.n_atoms < 1:
-        raise ParameterError("cavity_moments: requires n_atoms >= 1")
-    _require_no_jitter(params, "cavity_moments")
-    d = derive(params, omega_l)
+        raise ParameterError("lorentzian_height: requires n_atoms >= 1")
+    _require_no_jitter(params, "lorentzian_height")
+    return _height_and_determinant(params)[0]
+
+
+def steady_state_summary(params: SystemParams, omega_l: float) -> SteadyStateSummary:
+    """Closed-form steady state: mean field, photon number and p_exc.
+
+    Without emitters only cavity jitter makes light incoherent, and the
+    coherence ratio is ``1 + 1/(kappa tau_jit)``.  With emitters the jitter
+    channel must be off; the ratio is ``1 + h L(delta_a)``.
+    """
     a = mean_field(params, omega_l)
     w = abs(a) ** 2
-    kappa, gp = d.kappa, d.gamma_perp
-    g2 = params.g**2
-    big_k = kappa + gp
-    lor_den = gp**2 + d.delta_a**2
-    report = lorentzian_height(params)
-    det = (
-        2.0 * kappa * params.gamma_par * (big_k**2 + d.delta_ac**2)
-        + 4.0 * kappa * g2 * big_k
-        * (collective_rate_ratio(params) + params.n_atoms * params.gamma_par / (2.0 * kappa))
-    )
-    ratio = 1.0 + report.height * gp**2 / lor_den
-    p_exc = (
-        (2.0 * g2 * w * (gp / params.gamma_par) / lor_den)
-        * (1.0 - 4.0 * kappa * g2 * big_k * report.fraction / (gp * det))
-    )
+    if params.n_atoms == 0:
+        ratio = 1.0 + params.inv_tau_jitter / params.kappa
+        p_exc = 0.0
+    else:
+        _require_no_jitter(params, "steady_state_summary")
+        report, det = _height_and_determinant(params)
+        d = derive(params, omega_l)
+        kappa, gp = params.kappa, params.gamma_perp
+        g2 = params.g**2
+        lor_den = gp**2 + d.delta_a**2
+        ratio = 1.0 + report.height * gp**2 / lor_den
+        # not (1 - h/C): that is 0/0 for uncoupled emitters (g = 0)
+        p_exc = (
+            (2.0 * g2 * w * (gp / params.gamma_par) / lor_den)
+            * (1.0 - 4.0 * kappa * g2 * (kappa + gp) * report.fraction / (gp * det))
+        )
     return SteadyStateSummary(
         omega_l=omega_l, mean_field=a, photon_number=ratio * w,
         p_exc=p_exc, coherence_ratio=ratio,
     )
-
-
-def steady_state_summary(params: SystemParams, omega_l: float) -> SteadyStateSummary:
-    """Dispatch to the empty-cavity or emitter steady state."""
-    if params.n_atoms == 0:
-        return empty_cavity_steady_state(params, omega_l)
-    return cavity_moments(params, omega_l)
 
 
 def field_coefficients(params: SystemParams, omega_l: float) -> tuple[complex, complex]:
@@ -315,30 +293,20 @@ def intensity_coefficients(params: SystemParams, omega_l: float) -> tuple[float,
     return big_r, big_t
 
 
-def coefficient_set(params: SystemParams, omega_l: float) -> CoefficientSet:
-    r, t = field_coefficients(params, omega_l)
-    big_r, big_t = intensity_coefficients(params, omega_l)
-    return CoefficientSet(omega_l=omega_l, r=r, t=t, reflectance=big_r, transmittance=big_t)
+def spectrum_grid(params: SystemParams) -> np.ndarray:
+    """Default frequency grid covering the emission structures: 2001 points
+    spanning 10 linewidths beyond the cavity and emitter frequencies.
 
-
-def spectrum_grid(params: SystemParams, width_factor: float = 10.0,
-                  n_points: int = 2001) -> np.ndarray:
-    """Default frequency grid covering the emission structures.
-
-    Spans ``width_factor`` times the largest linewidth beyond the cavity and
-    emitter frequencies.  The default factor suits the emitter case, whose
-    spectral density has quartic tails; the bare-cavity Lorentzian decays
-    only quadratically and needs a much larger factor for tight integral
-    checks.
+    Ten widths suit the emitter case, whose spectral density has quartic
+    tails; the bare-cavity Lorentzian decays only quadratically and needs a
+    much wider grid for tight integral checks.
     """
-    if n_points < 2001:
-        n_points = 2001
     width = params.kappa + params.inv_tau_jitter
     if params.n_atoms:
         width += params.gamma_perp
-    lo = min(params.omega_c, params.omega_a) - width_factor * width
-    hi = max(params.omega_c, params.omega_a) + width_factor * width
-    return np.linspace(lo, hi, n_points)
+    lo = min(params.omega_c, params.omega_a) - 10.0 * width
+    hi = max(params.omega_c, params.omega_a) + 10.0 * width
+    return np.linspace(lo, hi, 2001)
 
 
 def emission_spectrum(params: SystemParams, omega_l: float,
@@ -358,7 +326,7 @@ def emission_spectrum(params: SystemParams, omega_l: float,
         density = (gam / math.pi) / (gam**2 + (params.omega_c - grid) ** 2) * weight * w
     else:
         d = derive(params, omega_l)
-        kappa, gp = d.kappa, d.gamma_perp
+        kappa, gp = params.kappa, params.gamma_perp
         g2n = params.g**2 * params.n_atoms
         big_k = kappa + gp
         # Unit-area spectral shape: dressed-mode resonances of the coupled system.

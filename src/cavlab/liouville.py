@@ -136,9 +136,6 @@ class SpaceSpec:
             )
         return self
 
-    def with_cavity_cutoff(self, cutoff: int) -> "SpaceSpec":
-        return replace(self, cavity_cutoff=cutoff)
-
 
 def _destroy(dim: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr").astype(complex)
@@ -394,7 +391,7 @@ def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpe
     current = space
     mstate, state = steady_moment_state(params, omega_l, current)
     for _ in range(_CUTOFF_ROUNDS):
-        bigger = current.with_cavity_cutoff(current.cavity_cutoff + 2)
+        bigger = replace(current, cavity_cutoff=current.cavity_cutoff + 2)
         m2, s2 = steady_moment_state(params, omega_l, bigger)
         ref = np.abs(mstate.packed())
         change = np.max(np.abs(m2.packed() - mstate.packed()) / np.maximum(ref, 1e-300))
@@ -505,24 +502,23 @@ def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray) -> WignerGrid:
     return WignerGrid(xs, ps, (2.0 / math.pi) * w)
 
 
-def wigner_grid_for_state(state: TruncatedState, n_points: int = 101,
-                          n_sigma: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
-    """Square grid centered on the field amplitude, wide enough for the
-    normalization check (roughly n_sigma standard deviations per quadrature)."""
+def wigner_grid_for_state(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
+    """Square 101 x 101 grid centered on the field amplitude, wide enough for
+    the normalization check (about 5 standard deviations per quadrature)."""
     a = _destroy(state.dims[0])
     mean = expectation(state, a)
     n_cav = expectation(state, a.conj().T @ a).real
     spread = math.sqrt(max(n_cav - abs(mean) ** 2, 0.0) + 0.5)
-    half = abs(mean) + n_sigma * spread
-    xs = np.linspace(-half, half, n_points)
+    half = abs(mean) + 5.0 * spread
+    xs = np.linspace(-half, half, 101)
     return xs, xs.copy()
 
 
 # --- Appendix-style probe spectrum ------------------------------------------
 
 def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
-                   epsilon: float = 1e-3, kappa_p: float | None = None,
-                   space: SpaceSpec | None = None) -> SpectrumResult:
+                   epsilon: float = 1e-3, kappa_p: float | None = None, *,
+                   space: SpaceSpec) -> SpectrumResult:
     """Emission spectrum read out by a weakly coupled two-level probe mode.
 
     For every observation frequency the probe is detuned by omega - omega_l,
@@ -540,9 +536,6 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         kappa_p = min(rates) / 100.0
     if kappa_p <= 0.0:
         raise ParameterError("probe_spectrum: kappa_p must be positive")
-    if space is None:
-        space = SpaceSpec(cavity_cutoff=6, n_atoms=params.n_atoms,
-                          atom_model="hp", atom_cutoff=3, probe_enabled=True)
     if not space.probe_enabled:
         raise ParameterError("probe_spectrum: space must enable the probe mode")
 
@@ -607,11 +600,13 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
     factored once per call, and A_QQ + delta diag(shift_Q), factored per
     point.  Block Gauss-Seidel sweeps x_P = A_PP^-1 (b_P - A_PQ x_Q),
     x_Q = A_QQ^-1 (-A_QP x_P) run while the true residual of the full
-    generator at least halves, at most _BLOCK_SWEEPS times.  The last sweep
-    is kept, not the one of least residual: the residual is set by the O(1)
-    rho_00 and does not see the O(epsilon^2) rho_11, which each sweep takes
-    from the coherences of the one before.  A point whose residual ends
-    above _BLOCK_TOL is solved directly on the full generator.
+    generator at least halves, at most _BLOCK_SWEEPS times, and stop early
+    once that residual, falling at its last rate over the sweeps left, would
+    still end above _BLOCK_TOL.  The last sweep is kept, not the one of
+    least residual: the residual is set by the O(1) rho_00 and does not see
+    the O(epsilon^2) rho_11, which each sweep takes from the coherences of
+    the one before.  A point whose residual ends above _BLOCK_TOL is solved
+    directly on the full generator.
 
     Two exact shortcuts halve what is factored.  A_PP is block triangular
     (probe decay takes rho_11 to rho_00, nothing takes rho_00 to rho_11), so
@@ -648,12 +643,15 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
             lu_q = splu((diagonal[2] + sp.diags(delta * shift[blocks[2]])).tocsc())
             x = np.zeros(dim * dim, dtype=complex)
             previous = np.inf
-            for _ in range(_BLOCK_SWEEPS):
+            for sweep in range(1, _BLOCK_SWEEPS + 1):
                 for idx, others, c, lu in zip(blocks, rest, coupling, lu_p + [lu_q]):
                     x[idx] = lu.solve(b[idx] - c @ x[others])
                 x[mirror] = x[blocks[2]].conj()
                 residual = _residual(gen, x)
-                if residual > 0.5 * previous:
+                slow = residual > 0.5 * previous
+                # the residual at this rate after the sweeps left
+                reach = residual * (residual / previous) ** (_BLOCK_SWEEPS - sweep)
+                if slow or reach > _BLOCK_TOL:
                     break
                 previous = residual
         except RuntimeError:
@@ -668,13 +666,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
 @dataclass
 class StochasticCheckReport:
     trace_distance: float
-    n_traj: int
-    n_steps: int
-    dt: float
-    t_end: float
-    diffusion: float
-    method: str
-    seed: int
+    method: str              # "factored" or "stepwise"
 
 
 def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
@@ -756,7 +748,4 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     diff = (v_mc - v_ref).reshape(dim, dim)
     diff = 0.5 * (diff + diff.conj().T)
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return StochasticCheckReport(
-        trace_distance=distance, n_traj=n_traj, n_steps=n_steps, dt=dt,
-        t_end=t_end, diffusion=diffusion, method=method, seed=seed,
-    )
+    return StochasticCheckReport(trace_distance=distance, method=method)

@@ -91,16 +91,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DerivedRates:
-    """Rates and detunings evaluated at one drive frequency."""
+    """Detunings from the drive frequency; arrays for a grid of them."""
 
-    kappa: float
-    gamma_perp: float
-    big_gamma: float
-    cooperativity: float
-    delta_c: float
-    delta_a: float
-    delta_ac: float
-    v: complex
+    delta_c: float      # omega_c - omega_l
+    delta_a: float      # omega_a - omega_l
+    delta_ac: float     # delta_a - delta_c
 
 
 def validate(params: SystemParams) -> None:
@@ -127,24 +122,10 @@ def validate(params: SystemParams) -> None:
 
 
 def derive(params: SystemParams, omega_l: float) -> DerivedRates:
-    """Evaluate detunings and the collective emitter response at drive frequency omega_l."""
+    """Detunings of the cavity and the emitters from drive frequency omega_l."""
     delta_c = params.omega_c - omega_l
     delta_a = params.omega_a - omega_l
-    kappa = params.kappa
-    gamma_perp = params.gamma_perp
-    v = (params.g**2 * params.n_atoms) / (
-        (kappa + 1j * delta_c) * (gamma_perp + 1j * delta_a)
-    )
-    return DerivedRates(
-        kappa=kappa,
-        gamma_perp=gamma_perp,
-        big_gamma=params.big_gamma,
-        cooperativity=params.g**2 * params.n_atoms / (kappa * gamma_perp),
-        delta_c=delta_c,
-        delta_a=delta_a,
-        delta_ac=delta_a - delta_c,
-        v=v,
-    )
+    return DerivedRates(delta_c=delta_c, delta_a=delta_a, delta_ac=delta_a - delta_c)
 
 
 # JSON round trip.  Noise times serialise as None when the channel is off;

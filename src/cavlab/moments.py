@@ -57,10 +57,6 @@ class MomentState:
     s5: float
     s6: float
 
-    @staticmethod
-    def vacuum() -> "MomentState":
-        return MomentState(0j, 0j, 0.0, 0j, 0.0, 0.0)
-
     def packed(self) -> np.ndarray:
         """Real 9-vector [Re s1, Im s1, Re s2, Im s2, s3, Re s4, Im s4, s5, s6],
         along the last axis when the fields are arrays."""

@@ -94,7 +94,7 @@ def check_steady_state_equivalence(seed: int) -> CheckResult:
     for k in range(100):
         p = _random_params(rng, _ATOM_CHOICES[k % len(_ATOM_CHOICES)])
         ss = moments.steady_state(p, omegas)
-        ref = analytic.cavity_moments(p, omegas)
+        ref = analytic.steady_state_summary(p, omegas)
         worst = max(
             worst,
             np.max(np.abs(ss.s3 - ref.photon_number) / ref.photon_number),
@@ -196,7 +196,7 @@ def check_jitter_coherence_ratio(seed: int) -> CheckResult:
         ratio = mstate.s3 / abs(mstate.s1) ** 2
         worst_ratio = max(worst_ratio, abs(ratio - (1.0 + x)))
         cav = liouville.reduce_cavity(trunc)
-        xs, ps = liouville.wigner_grid_for_state(cav, n_points=101)
+        xs, ps = liouville.wigner_grid_for_state(cav)
         grid = liouville.wigner(cav, xs, ps)
         wratio = grid.photon_number() / abs(grid.mean_alpha()) ** 2
         worst_wigner = max(worst_wigner, abs(wratio - (1.0 + x)))

@@ -32,7 +32,7 @@ def _random_params(rng, n_atoms, jitter=False):
 
 def test_empty_cavity_matched_no_noise():
     p = _params(g=0.0, n_atoms=0, beta=1.0)
-    s = analytic.empty_cavity_steady_state(p, 0.0)
+    s = analytic.steady_state_summary(p, 0.0)
     assert s.mean_field == pytest.approx(1.0 + 0j, abs=1e-15)
     assert s.photon_number == pytest.approx(1.0, abs=1e-15)
     assert s.p_exc == 0.0 and s.coherence_ratio == 1.0
@@ -41,27 +41,32 @@ def test_empty_cavity_matched_no_noise():
 def test_empty_cavity_with_jitter():
     # 1/(kappa tau_jit) = 1 halves the field and the photon number
     p = _params(g=0.0, n_atoms=0, beta=1.0, tau_jitter=1.0)
-    s = analytic.empty_cavity_steady_state(p, 0.0)
+    s = analytic.steady_state_summary(p, 0.0)
     assert s.mean_field == pytest.approx(0.5 + 0j, abs=1e-15)
     assert s.photon_number == pytest.approx(0.5, abs=1e-15)
     assert s.coherence_ratio == pytest.approx(2.0, abs=1e-15)
 
 
 def test_empty_cavity_undriven():
-    s = analytic.empty_cavity_steady_state(_params(g=0.0, n_atoms=0), 0.0)
+    s = analytic.steady_state_summary(_params(g=0.0, n_atoms=0), 0.0)
     assert s.mean_field == 0j and s.photon_number == 0.0
 
 
-def test_empty_cavity_rejects_atoms():
-    with pytest.raises(ParameterError):
-        analytic.empty_cavity_steady_state(_params(), 0.0)
+def test_uncoupled_emitters_leave_the_empty_cavity_state():
+    empty = _params(g=0.0, n_atoms=0, beta=1.0, tau_indiv=0.5)
+    uncoupled = empty.replace(n_atoms=5)
+    for om in (-2.0, 0.0, 1.5):
+        a = analytic.steady_state_summary(uncoupled, om)
+        assert a == analytic.steady_state_summary(empty, om)
+        assert a.p_exc == 0.0 and a.coherence_ratio == 1.0
 
 
 def test_closed_forms_reject_jitter_with_atoms():
     p = _params(tau_jitter=2.0, beta=0.1)
-    for fun in (analytic.cavity_moments, analytic.reduced_moment_system):
-        with pytest.raises(ParameterError, match="jitter"):
-            fun(p, 0.0)
+    with pytest.raises(ParameterError, match="steady_state_summary: .*jitter"):
+        analytic.steady_state_summary(p, 0.0)
+    with pytest.raises(ParameterError, match="jitter"):
+        analytic.reduced_moment_system(p, 0.0)
     with pytest.raises(ParameterError, match="jitter"):
         analytic.lorentzian_height(p)
 
@@ -97,12 +102,11 @@ def test_intensity_reduces_without_dephasing():
 
 def test_transmission_exceeds_coherent_part_with_common_dephasing():
     p = _params(tau_common=1.0 / 3.0)
-    for om in np.linspace(-10, 10, 41):
-        cs = analytic.coefficient_set(p, om)
-        assert cs.transmittance > abs(cs.t) ** 2
-    gaps = [analytic.coefficient_set(p, om).transmittance / abs(analytic.coefficient_set(p, om).t) ** 2
-            for om in np.linspace(-10, 10, 401)]
-    assert np.argmax(gaps) == 200     # largest relative excess on resonance
+    grid = np.linspace(-10, 10, 401)
+    big_t = analytic.intensity_coefficients(p, grid)[1]
+    coherent = abs(analytic.field_coefficients(p, grid)[1]) ** 2
+    assert np.all(big_t > coherent)
+    assert np.argmax(big_t / coherent) == 200     # largest relative excess on resonance
 
 
 def test_flux_balance_random_sweep():
@@ -112,7 +116,7 @@ def test_flux_balance_random_sweep():
         p = _random_params(rng, int(rng.choice([1, 2, 3, 5, 20])))
         for om in np.linspace(-8, 8, 11):
             big_r, big_t = analytic.intensity_coefficients(p, om)
-            s = analytic.cavity_moments(p, om)
+            s = analytic.steady_state_summary(p, om)
             loss = p.n_atoms * p.gamma_par * s.p_exc / abs(p.beta) ** 2
             worst = max(worst, abs(big_r + big_t + loss - 1.0))
     assert worst < 1e-9
@@ -136,7 +140,7 @@ def test_reduced_system_matches_cavity_moments():
             sys2 = analytic.reduced_moment_system(p, om)
             w = abs(analytic.mean_field(p, om)) ** 2
             p_exc, n_cav = sys2.solve(w)
-            s = analytic.cavity_moments(p, om)
+            s = analytic.steady_state_summary(p, om)
             worst = max(worst,
                         abs(p_exc - s.p_exc) / abs(s.p_exc),
                         abs(n_cav - s.photon_number) / s.photon_number)
@@ -182,6 +186,11 @@ def test_fraction_limits_asymptotic_at_large_ratio():
     assert abs(f - 5.0) / 5.0 < 0.01
 
 
+def test_height_report_cooperativity_example():
+    # g = 2, N = 5, kappa = 1, gamma_perp = 1: C = g^2 N / (kappa gamma_perp) = 20
+    assert analytic.lorentzian_height(_params()).cooperativity == pytest.approx(20.0, rel=1e-15)
+
+
 def test_height_zero_without_dephasing():
     assert analytic.lorentzian_height(_params()).height == 0.0
 
@@ -222,8 +231,8 @@ def test_coherence_ratio_matches_height_lorentzian():
     rep = analytic.lorentzian_height(p)
     for om in np.linspace(-6, 6, 13):
         d = derive(p, om)
-        expected = 1.0 + rep.height * d.gamma_perp**2 / (d.gamma_perp**2 + d.delta_a**2)
-        s = analytic.cavity_moments(p, om)
+        expected = 1.0 + rep.height * p.gamma_perp**2 / (p.gamma_perp**2 + d.delta_a**2)
+        s = analytic.steady_state_summary(p, om)
         assert s.coherence_ratio == pytest.approx(expected, rel=1e-12)
 
 
@@ -234,14 +243,14 @@ def test_coherence_ratio_unity_without_dephasing():
     for _ in range(30):
         p = _random_params(rng, int(rng.choice([1, 4])))
         p = p.replace(tau_indiv=None, tau_common=None, tau_jitter=None)
-        assert analytic.cavity_moments(p, rng.uniform(-3, 3)).coherence_ratio == 1.0
+        assert analytic.steady_state_summary(p, rng.uniform(-3, 3)).coherence_ratio == 1.0
 
 
 def test_single_atom_channel_swap_symmetry():
     p = _params(n_atoms=1, tau_indiv=0.4, tau_common=math.inf, beta=0.2)
     q = _params(n_atoms=1, tau_indiv=math.inf, tau_common=0.4, beta=0.2)
     for om in np.linspace(-4, 4, 9):
-        a, b = analytic.cavity_moments(p, om), analytic.cavity_moments(q, om)
+        a, b = analytic.steady_state_summary(p, om), analytic.steady_state_summary(q, om)
         assert a.photon_number == b.photon_number
         assert a.p_exc == b.p_exc
         assert a.mean_field == b.mean_field
@@ -251,7 +260,7 @@ def test_drive_phase_covariance():
     p = _params(tau_indiv=0.5, beta=0.4)
     q = p.replace(beta=0.4 * np.exp(0.93j))
     for om in (-2.0, 0.0, 3.1):
-        a, b = analytic.cavity_moments(p, om), analytic.cavity_moments(q, om)
+        a, b = analytic.steady_state_summary(p, om), analytic.steady_state_summary(q, om)
         assert b.photon_number == pytest.approx(a.photon_number, rel=1e-12)
         assert b.p_exc == pytest.approx(a.p_exc, rel=1e-12)
         assert b.mean_field == pytest.approx(a.mean_field * np.exp(0.93j), rel=1e-12)
@@ -315,5 +324,9 @@ def test_spectrum_shape_independent_of_drive_frequency():
     assert np.allclose(d8 / d8.max(), d0 / d0.max(), rtol=1e-12, atol=1e-15)
 
 
-def test_spectrum_grid_floor_on_points():
-    assert analytic.spectrum_grid(_params(), n_points=100).size == 2001
+def test_spectrum_grid_spans_ten_linewidths():
+    p = _params(omega_a=1.0, tau_indiv=0.5)
+    grid = analytic.spectrum_grid(p)
+    width = p.kappa + p.gamma_perp
+    assert grid.size == 2001
+    assert grid[0] == -10.0 * width and grid[-1] == 1.0 + 10.0 * width

@@ -1,6 +1,7 @@
 """Truncated-Hilbert-space oracle: generator, steady states, Wigner, probe,
 stochastic dephasing consistency."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_wigner_coherent_state():
     alpha = 1.0 + 0.5j
     amp = liouville.coherent_vector(alpha, 16)
     state = TruncatedState(np.outer(amp, amp.conj()), (16,))
-    xs, ps = liouville.wigner_grid_for_state(state, n_points=101)
+    xs, ps = liouville.wigner_grid_for_state(state)
     grid = liouville.wigner(state, xs, ps)
     assert grid.normalization_residual() < 1e-4
     assert grid.mean_alpha() == pytest.approx(alpha, abs=2e-3)
@@ -269,7 +270,7 @@ def test_wigner_jitter_photon_number_from_grid():
     _, trunc, _ = liouville.converged_moment_state(
         p, 0.0, SpaceSpec(cavity_cutoff=16, n_atoms=0))
     cav = liouville.reduce_cavity(trunc)
-    xs, ps = liouville.wigner_grid_for_state(cav, n_points=101)
+    xs, ps = liouville.wigner_grid_for_state(cav)
     grid = liouville.wigner(cav, xs, ps)
     ratio = grid.photon_number() / abs(grid.mean_alpha()) ** 2
     assert abs(ratio - 2.0) < 1e-2
@@ -313,8 +314,9 @@ def test_probe_spectrum_empty_cavity_jitter():
 
 def test_probe_spectrum_rejects_bad_arguments():
     p = _params()
+    space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2, probe_enabled=True)
     with pytest.raises(ParameterError, match="epsilon"):
-        liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=2.0)
+        liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=2.0, space=space)
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2)
     with pytest.raises(ParameterError, match="probe"):
         liouville.probe_spectrum(p, 0.0, np.array([0.0]), space=space)
@@ -368,6 +370,23 @@ def test_probe_strong_coupling_falls_back_to_direct_solve(monkeypatch):
     assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])
 
 
+def test_probe_stops_sweeps_that_cannot_converge(monkeypatch):
+    # at kappa1 = kappa2 = 1 the sweeps converge, but by only 0.2-0.35 a
+    # sweep: too slowly to reach the block tolerance within the sweeps left
+    p = _empty(beta=1.0).replace(kappa1=1.0, kappa2=1.0)
+    grid = np.linspace(-3.0, 3.0, 21)
+    kwargs = dict(epsilon=0.9, kappa_p=1.0,
+                  space=SpaceSpec(cavity_cutoff=13, n_atoms=0, probe_enabled=True))
+    residuals = _count_calls(monkeypatch, "_residual")
+    swept = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
+    per_generator = Counter(id(args[0]) for args in residuals)
+    assert len(per_generator) == 1 + grid.size       # the bare state and each point
+    assert max(per_generator.values()) <= 4
+    monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)
+    full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
+    assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])
+
+
 def test_probe_factors_the_populations_once_per_scan(monkeypatch):
     p = _params(tau_common=1.0 / 3.0)
     space = SpaceSpec(cavity_cutoff=2, n_atoms=1, atom_cutoff=1, probe_enabled=True)
@@ -415,7 +434,7 @@ def test_stochastic_average_converges():
     gen, n_op, rho0 = _decaying_cavity()
     rep = liouville.stochastic_dephasing_check(gen, n_op, 2.0, rho0, t_end=1.0,
                                                dt=1e-3, n_traj=1000, seed=11)
-    assert rep.trace_distance < 3.0 / math.sqrt(rep.n_traj)
+    assert rep.trace_distance < 3.0 / math.sqrt(1000)
 
 
 def test_stochastic_drive_breaks_factoring():

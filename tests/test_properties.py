@@ -1,10 +1,12 @@
-"""Properties over the acceptance gate's parameter domain (rates 1e-2..1e2).
+"""Properties over the acceptance gate's parameter domain (rates 1e-2..1e2)
+and over rates 1e-4..1e4.
 
-The array forms of the closed forms and of the moment solve must equal
-per-point calls, and the resolvent spectrum, the flux identity, the
-relaxation of the moment equations and the height bound must hold on every
-draw.  The JSON round trip of a parameter record holds over rates
-1e-4..1e4.
+On the gate's domain the array forms of the closed forms and of the moment
+solve must equal per-point calls, and the resolvent spectrum, the flux
+identity, the relaxation of the moment equations and the height bound must
+hold on every draw.  Over rates 1e-4..1e4 the closed forms must match the
+moment solve, the flux identity and the height bound must hold, and a
+parameter record must survive the JSON round trip.
 """
 import json
 import math
@@ -21,19 +23,19 @@ from hypothesis import strategies as st  # noqa: E402
 
 OMEGAS = np.linspace(-6.0, 6.0, 11)
 
-_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
-_channel = st.one_of(st.none(), _rate.map(lambda rate: 1.0 / rate))
-
 
 @st.composite
-def gate_params(draw) -> SystemParams:
-    """A record of the gate's domain: every rate in 1e-2..1e2, each
+def emitter_params(draw, decades: float) -> SystemParams:
+    """A record with emitters and without jitter: every rate in
+    10**-decades..10**decades (the gate's domain is 2 decades), each
     dephasing channel on or off, detunings in [-5, 5], a complex drive."""
+    rate = st.floats(-decades, decades).map(lambda e: 10.0 ** e)
+    channel = st.one_of(st.none(), rate.map(lambda r: 1.0 / r))
     return SystemParams(
-        g=draw(_rate), n_atoms=draw(st.sampled_from([1, 2, 3, 5, 20])),
-        kappa1=draw(_rate), kappa2=draw(_rate), gamma_par=draw(_rate),
+        g=draw(rate), n_atoms=draw(st.sampled_from([1, 2, 3, 5, 20])),
+        kappa1=draw(rate), kappa2=draw(rate), gamma_par=draw(rate),
         omega_c=draw(st.floats(-5.0, 5.0)), omega_a=draw(st.floats(-5.0, 5.0)),
-        tau_indiv=draw(_channel) or math.inf, tau_common=draw(_channel) or math.inf,
+        tau_indiv=draw(channel) or math.inf, tau_common=draw(channel) or math.inf,
         beta=complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 2.0))),
     )
 
@@ -43,7 +45,7 @@ def _relative(array, points) -> float:
     return float(np.max(np.abs(array - points) / np.maximum(np.abs(points), 1e-300)))
 
 
-@given(gate_params())
+@given(emitter_params(2.0))
 def test_array_moment_solve_equals_scalar_solves(p):
     batch = moments.steady_state(p, OMEGAS).packed()
     for k, om in enumerate(OMEGAS):
@@ -51,7 +53,7 @@ def test_array_moment_solve_equals_scalar_solves(p):
         assert np.max(np.abs(batch[k] - point)) <= 1e-12 * np.max(np.abs(point))
 
 
-@given(gate_params())
+@given(emitter_params(2.0))
 def test_array_closed_forms_equal_scalar_calls(p):
     r, t = analytic.field_coefficients(p, OMEGAS)
     big_r, big_t = analytic.intensity_coefficients(p, OMEGAS)
@@ -67,7 +69,7 @@ def test_array_closed_forms_equal_scalar_calls(p):
                          [getattr(pt[4], name) for pt in points]) <= 1e-14
 
 
-@given(gate_params(), st.floats(-6.0, 6.0))
+@given(emitter_params(2.0), st.floats(-6.0, 6.0))
 def test_resolvent_spectrum_matches_closed_form(p, omega_l):
     grid = analytic.spectrum_grid(p)
     s = moments.regression_spectrum(p, omega_l, grid).incoherent_density
@@ -79,8 +81,17 @@ def test_resolvent_spectrum_matches_closed_form(p, omega_l):
     assert _relative(s[mask], ref[mask]) <= 1e-11
 
 
-@given(gate_params())
+@given(emitter_params(2.0))
 def test_flux_identity(p):
+    _assert_flux_identity(p)
+
+
+@given(emitter_params(4.0))
+def test_flux_identity_over_wide_rates(p):
+    _assert_flux_identity(p)
+
+
+def _assert_flux_identity(p):
     flux = abs(p.beta) ** 2
     big_r, big_t = analytic.intensity_coefficients(p, OMEGAS)
     loss = p.n_atoms * p.gamma_par * analytic.steady_state_summary(p, OMEGAS).p_exc / flux
@@ -91,7 +102,7 @@ def test_flux_identity(p):
     assert np.max(np.abs(big_r + big_t + loss - 1.0)) <= 1e-10
 
 
-@given(gate_params())
+@given(emitter_params(2.0))
 def test_moment_equations_relax(p):
     # every mode of the homogeneous moment system decays, so any initial
     # state relaxes to the steady state
@@ -100,10 +111,26 @@ def test_moment_equations_relax(p):
     assert np.max(np.linalg.eigvals(matrix).real) < 0.0
 
 
-@given(gate_params())
+@given(emitter_params(2.0))
 def test_height_bounded_by_cooperativity(p):
     report = analytic.lorentzian_height(p)
     assert report.height <= report.cooperativity * (1 + 1e-12)
+
+
+@given(emitter_params(4.0))
+def test_height_bounded_by_cooperativity_over_wide_rates(p):
+    report = analytic.lorentzian_height(p)
+    assert report.height <= report.cooperativity * (1 + 1e-12)
+
+
+@given(emitter_params(4.0))
+def test_closed_forms_match_moments_over_wide_rates(p):
+    # the steady-state-equivalence criterion, out to rates 1e-4..1e4
+    ref = analytic.steady_state_summary(p, OMEGAS)
+    state = moments.steady_state(p, OMEGAS)
+    assert _relative(state.s1, ref.mean_field) <= 1e-9
+    assert _relative(state.s3, ref.photon_number) <= 1e-9
+    assert _relative(state.s5, ref.p_exc) <= 1e-9
 
 
 _wide_rate = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
