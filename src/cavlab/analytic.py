@@ -24,7 +24,7 @@ of emission frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,12 @@ __all__ = [
     "SteadyStateSummary",
     "HeightReport",
     "SpectrumResult",
-    "ReducedMomentSystem",
     "mean_field",
     "steady_state_summary",
     "field_coefficients",
     "intensity_coefficients",
     "dephasing_fraction",
-    "collective_rate_ratio",
     "lorentzian_height",
-    "reduced_moment_system",
     "emission_spectrum",
     "spectrum_grid",
 ]
@@ -83,8 +80,8 @@ class SpectrumResult:
     grid: np.ndarray
     incoherent_density: np.ndarray
     coherent_power: float
-    method: str = "analytic"
-    meta: dict = field(default_factory=dict)
+    method: str
+    meta: dict
 
     def incoherent_power(self) -> float:
         return float(np.trapezoid(self.incoherent_density, self.grid))
@@ -136,85 +133,26 @@ def dephasing_fraction(params: SystemParams) -> float:
     return it + ic * n * (it / n + half_gamma) / (it + half_gamma)
 
 
-def collective_rate_ratio(params: SystemParams) -> float:
-    """Enhancement of the summed emitter cross-correlations over N p_exc.
-
-    Equals ``(1 + N gamma_par tau / 2) / (1 + gamma_par tau / 2)`` written in
-    inverse rates so that an inactive individual-dephasing channel gives the
-    limit N without special-casing.
-    """
-    it = params.inv_tau_indiv
-    half_gamma = params.gamma_par / 2.0
-    return (it + params.n_atoms * half_gamma) / (it + half_gamma)
-
-
-@dataclass(frozen=True)
-class ReducedMomentSystem:
-    """Closed 2x2 linear system for (p_exc, photon_number).
-
-    The steady-state second moments obey
-    ``[[a, b], [c, d]] @ [p_exc, photon_number] = [e, f] * |<a_c>|**2``.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    @property
-    def determinant(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def solve(self, field_intensity: float) -> tuple[float, float]:
-        """Return (p_exc, photon_number) for a given |<a_c>|**2 by elimination."""
-        det = self.determinant
-        p_exc = (self.e * self.d - self.b * self.f) / det * field_intensity
-        photon_number = (self.a * self.f - self.c * self.e) / det * field_intensity
-        return p_exc, photon_number
-
-
-def reduced_moment_system(params: SystemParams, omega_l: float) -> ReducedMomentSystem:
-    """Coefficients of the closed 2x2 steady-state system at one drive frequency."""
-    if params.n_atoms < 1:
-        raise ParameterError("reduced_moment_system: requires n_atoms >= 1")
-    _require_no_jitter(params, "reduced_moment_system")
-    d = derive(params, omega_l)
-    kappa, gp = params.kappa, params.gamma_perp
-    g2 = params.g**2
-    n = params.n_atoms
-    big_k = kappa + gp
-    lor = gp**2 + d.delta_a**2
-    q = collective_rate_ratio(params)
-    return ReducedMomentSystem(
-        a=params.gamma_par * (big_k**2 + d.delta_ac**2) + 2.0 * g2 * big_k * q,
-        b=-2.0 * g2 * big_k,
-        c=n * params.gamma_par,
-        d=2.0 * kappa,
-        e=(2.0 * g2 / lor) * (
-            g2 * n * big_k
-            + kappa * (gp**2 - d.delta_a**2)
-            + gp * (kappa**2 + d.delta_c**2)
-            - 2.0 * gp * d.delta_a * d.delta_c
-        ),
-        f=2.0 * kappa + 2.0 * gp * g2 * n / lor,
-    )
-
-
 def _height_and_determinant(params: SystemParams) -> tuple[HeightReport, float]:
     """The height report and the determinant of the reduced 2x2 system.
 
-    The determinant of :class:`ReducedMomentSystem` does not depend on the
-    drive frequency; both the height and the emitter excitation divide by
-    it.  Requires n_atoms >= 1 and the jitter channel off.
+    The steady-state p_exc and photon number solve a closed 2x2 linear
+    system whose right-hand side is proportional to ``|<a_c>|**2``.  Its
+    determinant does not depend on the drive frequency; both the height and
+    the emitter excitation divide by it.  The emitters enter it through
+    ``q = sum_kj <a_k^dag a_j> / (N p_exc)``, which is
+    ``(1 + N gamma_par tau / 2) / (1 + gamma_par tau / 2)``, written in
+    inverse rates so that an inactive individual-dephasing channel gives the
+    limit N.  Requires n_atoms >= 1 and the jitter channel off.
     """
     kappa, gp = params.kappa, params.gamma_perp
     g2 = params.g**2
     n = params.n_atoms
     big_k = kappa + gp
     delta_ac = params.omega_a - params.omega_c
-    q = collective_rate_ratio(params)
+    it = params.inv_tau_indiv
+    half_gamma = params.gamma_par / 2.0
+    q = (it + n * half_gamma) / (it + half_gamma)
     frac = dephasing_fraction(params)
     det = (
         2.0 * kappa * params.gamma_par * (big_k**2 + delta_ac**2)

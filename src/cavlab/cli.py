@@ -201,7 +201,8 @@ def _default_cutoff(params: SystemParams, omega_l: float) -> int:
         n_cav = analytic.steady_state_summary(params, omega_l).photon_number
     except ParameterError:
         # atoms plus jitter: bound by the empty-cavity jitter ratio
-        ratio = 1.0 + params.inv_tau_jitter / params.kappa
+        empty = params.replace(n_atoms=0)
+        ratio = analytic.steady_state_summary(empty, omega_l).coherence_ratio
         n_cav = abs(analytic.mean_field(params, omega_l)) ** 2 * ratio
     return int(4.0 * n_cav) + 8
 

@@ -44,10 +44,7 @@ __all__ = [
     "WignerGrid",
     "StochasticCheckReport",
     "dimension_budget",
-    "build_hamiltonian",
-    "jump_operators",
     "build_liouvillian",
-    "hamiltonian_superop",
     "steady_state",
     "expectation",
     "reduce_cavity",
@@ -168,11 +165,11 @@ def probe_lowering(space: SpaceSpec) -> sp.csr_matrix:
     return _embed(_destroy(2), len(space.dims) - 1, space.dims)
 
 
-def build_hamiltonian(params: SystemParams, omega_l: float,
-                      space: SpaceSpec) -> sp.csr_matrix:
+def _build_hamiltonian(params: SystemParams, omega_l: float,
+                       space: SpaceSpec) -> sp.csr_matrix:
     """System Hamiltonian in the frame rotating at the drive frequency."""
     if space.n_atoms != params.n_atoms:
-        raise ParameterError("build_hamiltonian: space.n_atoms != params.n_atoms")
+        raise ParameterError("build_liouvillian: space.n_atoms != params.n_atoms")
     delta_c = params.omega_c - omega_l
     delta_a = params.omega_a - omega_l
     a_c = cavity_annihilation(space)
@@ -186,7 +183,7 @@ def build_hamiltonian(params: SystemParams, omega_l: float,
     return h.tocsr()
 
 
-def jump_operators(params: SystemParams, space: SpaceSpec) -> list[sp.csr_matrix]:
+def _jump_operators(params: SystemParams, space: SpaceSpec) -> list[sp.csr_matrix]:
     """Collapse operators: cavity leak, cavity jitter, per-emitter decay and
     dephasing, collective dephasing (present only when the rate is nonzero)."""
     ops = [math.sqrt(2.0 * params.kappa) * cavity_annihilation(space)]
@@ -204,7 +201,7 @@ def jump_operators(params: SystemParams, space: SpaceSpec) -> list[sp.csr_matrix
     return [op.tocsr() for op in ops]
 
 
-def hamiltonian_superop(h: sp.spmatrix) -> sp.csr_matrix:
+def _hamiltonian_superop(h: sp.spmatrix) -> sp.csr_matrix:
     """-i [H, .] in vectorized form."""
     dim = h.shape[0]
     ident = sp.identity(dim, format="csr", dtype=complex)
@@ -224,11 +221,11 @@ def build_liouvillian(params: SystemParams, omega_l: float, space: SpaceSpec,
                       extra_jumps: tuple[sp.spmatrix, ...] = ()) -> sp.csr_matrix:
     """Sparse generator of the master equation on the vectorized state."""
     space.check_budget()
-    h = build_hamiltonian(params, omega_l, space)
+    h = _build_hamiltonian(params, omega_l, space)
     if extra_hamiltonian is not None:
         h = (h + extra_hamiltonian).tocsr()
-    gen = hamiltonian_superop(h)
-    for c in list(jump_operators(params, space)) + list(extra_jumps):
+    gen = _hamiltonian_superop(h)
+    for c in list(_jump_operators(params, space)) + list(extra_jumps):
         gen = gen + _dissipator_superop(c)
     return gen.tocsr()
 
@@ -517,7 +514,7 @@ def wigner_grid_for_state(state: TruncatedState) -> tuple[np.ndarray, np.ndarray
 # --- Appendix-style probe spectrum ------------------------------------------
 
 def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
-                   epsilon: float = 1e-3, kappa_p: float | None = None, *,
+                   epsilon: float, kappa_p: float | None = None, *,
                    space: SpaceSpec) -> SpectrumResult:
     """Emission spectrum read out by a weakly coupled two-level probe mode.
 
@@ -557,7 +554,7 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         extra_hamiltonian=coupling,
         extra_jumps=(math.sqrt(2.0 * kappa_p) * a_p,),
     )
-    gen_detune = hamiltonian_superop(n_p)
+    gen_detune = _hamiltonian_superop(n_p)
 
     density = np.empty(grid.size)
     worst_backaction = 0.0

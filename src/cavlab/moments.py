@@ -19,9 +19,6 @@ cavity-emitter cross moment; the individual channel additionally damps s6 at
 twice its rate; cavity jitter damps s1 and s4 but not the photon number.
 This module is independent of :mod:`cavlab.analytic` (no closed-form results
 are consumed here) and is validated against the full density-matrix oracle.
-
-A non-reduced per-emitter variant (every ``<a_k^dag a_j>`` kept) is retained
-for small emitter numbers as a cross-check of the symmetry reduction.
 """
 from __future__ import annotations
 
@@ -39,7 +36,6 @@ __all__ = [
     "derivative",
     "steady_state",
     "regression_spectrum",
-    "per_atom_steady_state",
     "intensity_from_state",
     "energy_balance_residual",
 ]
@@ -265,74 +261,6 @@ def regression_spectrum(params: SystemParams, omega_l: float,
         omega_l=omega_l, grid=grid, incoherent_density=transform.real / math.pi,
         coherent_power=abs(ss.s1) ** 2, method="regression",
         meta={"photon_number": ss.s3},
-    )
-
-
-# --- non-reduced per-emitter cross-check -----------------------------------
-
-def _per_atom_derivative(params: SystemParams, omega_l: float,
-                         z: np.ndarray) -> np.ndarray:
-    """Derivative of the full per-emitter moment set, complex packed.
-
-    Layout: [a_c, a_1..a_N, n_c, c_1..c_N, m_11..m_NN] where
-    ``c_j = <a_c^dag a_j>`` and ``m_kj = <a_k^dag a_j>`` row-major.
-    """
-    n = params.n_atoms
-    kappa = params.kappa
-    gp = params.gamma_perp
-    g = params.g
-    delta_c = params.omega_c - omega_l
-    delta_a = params.omega_a - omega_l
-    drive = math.sqrt(2.0 * params.kappa1) * params.beta
-    gamma_c = kappa + params.inv_tau_jitter
-
-    a_c = z[0]
-    a = z[1:1 + n]
-    n_c = z[1 + n]
-    c = z[2 + n:2 + 2 * n]
-    m = z[2 + 2 * n:].reshape(n, n)
-
-    out = np.empty_like(z)
-    out[0] = -(gamma_c + 1j * delta_c) * a_c - 1j * g * a.sum() + drive
-    out[1:1 + n] = -(gp + 1j * delta_a) * a - 1j * g * a_c
-    out[1 + n] = (
-        -2.0 * kappa * n_c + drive * np.conj(a_c) + np.conj(drive) * a_c
-        - 1j * g * (c.sum() - np.conj(c).sum())
-    )
-    out[2 + n:2 + 2 * n] = (
-        -(gamma_c + gp + 1j * (delta_a - delta_c)) * c
-        + np.conj(drive) * a - 1j * g * n_c + 1j * g * m.sum(axis=0)
-    )
-    dm = 1j * g * (c[None, :] - np.conj(c)[:, None])
-    dm = dm - (2.0 * params.inv_tau_indiv + params.gamma_par) * m
-    dm[np.diag_indices(n)] += 2.0 * params.inv_tau_indiv * np.diag(m)
-    out[2 + 2 * n:] = dm.reshape(-1)
-    return out
-
-
-def per_atom_steady_state(params: SystemParams, omega_l: float) -> MomentState:
-    """Steady state of the non-reduced per-emitter system, folded back to
-    the symmetry-reduced representation.  Intended for n_atoms <= 3."""
-    n = params.n_atoms
-    if not 1 <= n <= 3:
-        raise ParameterError("per_atom_steady_state: supported for 1 <= n_atoms <= 3")
-    dim_c = 2 + 2 * n + n * n
-
-    def fun(probes: np.ndarray) -> np.ndarray:
-        return np.array([_per_atom_derivative(params, omega_l, x.view(complex)).view(float)
-                         for x in probes])
-
-    matrix, offset = _affine_parts(fun, 2 * dim_c)
-    x = _solve_equilibrated(matrix, -offset, "per_atom_steady_state")
-    z = x.view(complex)
-    a = z[1:1 + n]
-    c = z[2 + n:2 + 2 * n]
-    m = z[2 + 2 * n:].reshape(n, n)
-    off_diag = (m.sum() - np.trace(m)) / (n * (n - 1)) if n > 1 else 0.0
-    return MomentState(
-        s1=complex(z[0]), s2=complex(a.mean()), s3=float(z[1 + n].real),
-        s4=complex(c.mean()), s5=float(np.trace(m).real / n),
-        s6=float(np.real(off_diag)),
     )
 
 

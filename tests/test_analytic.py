@@ -66,8 +66,6 @@ def test_closed_forms_reject_jitter_with_atoms():
     with pytest.raises(ParameterError, match="steady_state_summary: .*jitter"):
         analytic.steady_state_summary(p, 0.0)
     with pytest.raises(ParameterError, match="jitter"):
-        analytic.reduced_moment_system(p, 0.0)
-    with pytest.raises(ParameterError, match="jitter"):
         analytic.lorentzian_height(p)
 
 
@@ -131,15 +129,37 @@ def test_empty_cavity_flux_balance_with_jitter():
 
 # --- reduced 2x2 system vs direct formulas ----------------------------------
 
+def _reduced_system(p, om):
+    """The closed 2x2 steady-state system ``matrix @ [p_exc, photon_number]
+    = rhs`` with emitters and without jitter, as a reference for the
+    closed forms."""
+    d = derive(p, om)
+    kappa, gp, g2, n = p.kappa, p.gamma_perp, p.g**2, p.n_atoms
+    big_k = kappa + gp
+    lor = gp**2 + d.delta_a**2
+    # summed emitter cross-correlations over N p_exc
+    half_gamma = p.gamma_par / 2.0
+    q = (p.inv_tau_indiv + n * half_gamma) / (p.inv_tau_indiv + half_gamma)
+    matrix = np.array([
+        [p.gamma_par * (big_k**2 + d.delta_ac**2) + 2.0 * g2 * big_k * q, -2.0 * g2 * big_k],
+        [n * p.gamma_par, 2.0 * kappa],
+    ])
+    rhs = np.array([
+        (2.0 * g2 / lor) * (g2 * n * big_k + kappa * (gp**2 - d.delta_a**2)
+                            + gp * (kappa**2 + d.delta_c**2)
+                            - 2.0 * gp * d.delta_a * d.delta_c),
+        2.0 * kappa + 2.0 * gp * g2 * n / lor,
+    ]) * abs(analytic.mean_field(p, om)) ** 2
+    return matrix, rhs
+
+
 def test_reduced_system_matches_cavity_moments():
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(100):
         p = _random_params(rng, int(rng.choice([1, 2, 3, 5, 20])))
         for om in np.linspace(-6, 6, 11):
-            sys2 = analytic.reduced_moment_system(p, om)
-            w = abs(analytic.mean_field(p, om)) ** 2
-            p_exc, n_cav = sys2.solve(w)
+            p_exc, n_cav = np.linalg.solve(*_reduced_system(p, om))
             s = analytic.steady_state_summary(p, om)
             worst = max(worst,
                         abs(p_exc - s.p_exc) / abs(s.p_exc),
@@ -151,15 +171,16 @@ def test_reduced_system_determinant_positive():
     rng = np.random.default_rng(43)
     for _ in range(50):
         p = _random_params(rng, int(rng.choice([1, 3, 20])))
-        assert analytic.reduced_moment_system(p, rng.uniform(-5, 5)).determinant > 0.0
+        assert np.linalg.det(_reduced_system(p, rng.uniform(-5, 5))[0]) > 0.0
 
 
 def test_symmetric_detuning_drops_from_population_row():
     p = _params(omega_c=1.3, omega_a=1.3, tau_indiv=0.5)
-    sys2 = analytic.reduced_moment_system(p, 0.2)
+    matrix, _ = _reduced_system(p, 0.2)
     big_k = p.kappa + p.gamma_perp
-    q = analytic.collective_rate_ratio(p)
-    assert sys2.a == pytest.approx(
+    half_gamma_tau = p.gamma_par * p.tau_indiv / 2.0
+    q = (1.0 + p.n_atoms * half_gamma_tau) / (1.0 + half_gamma_tau)
+    assert matrix[0, 0] == pytest.approx(
         p.gamma_par * big_k**2 + 2.0 * p.g**2 * big_k * q, rel=1e-14)
 
 

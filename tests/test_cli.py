@@ -237,6 +237,19 @@ def test_wigner_rows_follow_grid_order(tmp_path):
     assert float(header["photon_number"]) == pytest.approx(5.2, abs=5e-2)
 
 
+def test_wigner_with_emitters_and_jitter_starts_from_the_jitter_bound(tmp_path):
+    # no closed form covers emitters plus jitter: the starting cutoff comes
+    # from |<a_c>|**2 times the empty-cavity ratio 1 + 1/(kappa tau_jit) = 1.5
+    cfg = tmp_path / "atoms_jitter.json"
+    cfg.write_text(json.dumps({
+        "g": 1.0, "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5, "omega_c": 0.0,
+        "omega_a": 0.0, "gamma_par": 2.0, "tau_jitter": 2.0, "beta": 0.5}))
+    config, _, _, data = _run(
+        ["wigner", "--config", str(cfg), "--grid=-3:3:11"], tmp_path / "w.csv")
+    assert config["cutoff"] == 8
+    assert data.shape == (121, 3)
+
+
 def test_height_scan_stays_below_cooperativity(tmp_path):
     _, _, columns, data = _run(
         ["height-scan", "--config", RESONANT, "--grid=0.01:100:25"],

@@ -71,6 +71,11 @@ def test_generator_preserves_trace():
     assert residual < 1e-12 * np.max(np.abs(gen.data))
 
 
+def test_generator_rejects_a_space_for_another_emitter_number():
+    with pytest.raises(ParameterError, match="build_liouvillian: space.n_atoms"):
+        liouville.build_liouvillian(_params(n_atoms=2), 0.0, SpaceSpec(3, 1))
+
+
 def test_undriven_empty_cavity_relaxes_to_vacuum():
     gen = liouville.build_liouvillian(_empty(beta=0.0), 0.0, SpaceSpec(4, 0))
     state = liouville.steady_state(gen, (5,))
@@ -319,7 +324,7 @@ def test_probe_spectrum_rejects_bad_arguments():
         liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=2.0, space=space)
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2)
     with pytest.raises(ParameterError, match="probe"):
-        liouville.probe_spectrum(p, 0.0, np.array([0.0]), space=space)
+        liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=1e-3, space=space)
 
 
 # the collective-emitter probe setup of the spectrum-triple-agreement criterion

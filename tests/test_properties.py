@@ -5,8 +5,9 @@ On the gate's domain the array forms of the closed forms and of the moment
 solve must equal per-point calls, and the resolvent spectrum, the flux
 identity, the relaxation of the moment equations and the height bound must
 hold on every draw.  Over rates 1e-4..1e4 the closed forms must match the
-moment solve, the flux identity and the height bound must hold, and a
-parameter record must survive the JSON round trip.
+moment solve, the symmetry-reduced moments must match the per-emitter ones
+for up to three emitters, the flux identity and the height bound must hold,
+and a parameter record must survive the JSON round trip.
 """
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 
 from cavlab import analytic, moments
 from cavlab.model import SystemParams, params_from_json, params_to_dict
+from test_moments import _per_atom_steady_state
 
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
@@ -25,14 +27,15 @@ OMEGAS = np.linspace(-6.0, 6.0, 11)
 
 
 @st.composite
-def emitter_params(draw, decades: float) -> SystemParams:
+def emitter_params(draw, decades: float, atoms=(1, 2, 3, 5, 20)) -> SystemParams:
     """A record with emitters and without jitter: every rate in
     10**-decades..10**decades (the gate's domain is 2 decades), each
-    dephasing channel on or off, detunings in [-5, 5], a complex drive."""
+    dephasing channel on or off, detunings in [-5, 5], a complex drive and
+    an emitter number from ``atoms``."""
     rate = st.floats(-decades, decades).map(lambda e: 10.0 ** e)
     channel = st.one_of(st.none(), rate.map(lambda r: 1.0 / r))
     return SystemParams(
-        g=draw(rate), n_atoms=draw(st.sampled_from([1, 2, 3, 5, 20])),
+        g=draw(rate), n_atoms=draw(st.sampled_from(atoms)),
         kappa1=draw(rate), kappa2=draw(rate), gamma_par=draw(rate),
         omega_c=draw(st.floats(-5.0, 5.0)), omega_a=draw(st.floats(-5.0, 5.0)),
         tau_indiv=draw(channel) or math.inf, tau_common=draw(channel) or math.inf,
@@ -131,6 +134,14 @@ def test_closed_forms_match_moments_over_wide_rates(p):
     assert _relative(state.s1, ref.mean_field) <= 1e-9
     assert _relative(state.s3, ref.photon_number) <= 1e-9
     assert _relative(state.s5, ref.p_exc) <= 1e-9
+
+
+@given(emitter_params(4.0, atoms=(1, 2, 3)), st.floats(-4.0, 4.0))
+def test_reduced_moments_match_per_atom_system_over_wide_rates(p, omega_l):
+    # the permutation-symmetry reduction against every <a_k^dag a_j> kept
+    reduced = moments.steady_state(p, omega_l).packed()
+    full = _per_atom_steady_state(p, omega_l).packed()
+    assert np.max(np.abs(reduced - full)) <= 1e-9 * np.max(np.abs(reduced))
 
 
 _wide_rate = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
