@@ -275,7 +275,9 @@ def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else validation.DEFAULT_SEED
     results = validation.run_all(seed=seed)
     for result in results:
-        print(result.line(), file=sys.stderr)
+        # wall time goes to stderr only, so the JSON report stays seed-fixed
+        budget = "" if result.budget_seconds is None else f" of {result.budget_seconds:.0f} s"
+        print(f"{result.line()} [{result.seconds:.1f} s{budget}]", file=sys.stderr)
     doc = {
         "seed": seed,
         "all_passed": all(r.passed or r.skipped for r in results),

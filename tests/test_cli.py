@@ -271,8 +271,8 @@ def test_height_scan_gamma_sweep_needs_dephasing_time(tmp_path):
 
 def _fake_criteria(passing):
     def runner(seed):
-        return CheckResult(name="fake-check", passed=passing,
-                           detail=f"seed {seed}", seconds=0.0)
+        return CheckResult(name="fake-check", passed=passing, detail=f"seed {seed}",
+                           seconds=3.04, budget_seconds=60.0)
     return (("fake-check", runner),)
 
 
@@ -283,6 +283,9 @@ def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     doc = json.loads(out.read_text())
     assert doc["all_passed"] is True
     assert doc["results"][0]["detail"] == "seed 3"
+    # the wall time is on stderr only
+    assert "PASS fake-check: seed 3 [3.0 s of 60 s]" in capsys.readouterr().err
+    assert "3.0" not in out.read_text()
 
     monkeypatch.setattr(validation, "CRITERIA", _fake_criteria(False))
     assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 1
@@ -314,7 +317,8 @@ def test_validate_exits_3_when_a_criterion_crashed(tmp_path, monkeypatch, capsys
     assert doc["all_passed"] is False
     assert set(doc["results"][0]) == {"name", "passed", "skipped", "reason", "detail"}
     assert "ZeroDivisionError" in doc["results"][0]["detail"]
-    assert "FAIL crashing-check" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAIL crashing-check" in err and err.rstrip().endswith(" s]")
 
 
 def test_missing_transmission_doublet_is_a_fail_not_an_error():

@@ -1,5 +1,6 @@
 """Truncated-Hilbert-space oracle: generator, steady states, Wigner, probe,
 stochastic dephasing consistency."""
+import logging
 import math
 from collections import Counter
 
@@ -23,6 +24,18 @@ def _params(**overrides):
 
 def _empty(**overrides):
     return _params(g=0.0, n_atoms=0, **overrides)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(liouville, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, name, counted)
+    return calls
 
 
 # --- space bookkeeping --------------------------------------------------------
@@ -177,13 +190,130 @@ def test_two_level_equals_hp_at_cutoff_one():
     assert (gen_tl != gen_hp).nnz == 0
 
 
-def test_marching_agrees_with_direct():
-    p = _params(beta=0.4, tau_indiv=0.5)
-    space = SpaceSpec(cavity_cutoff=5, n_atoms=1, atom_cutoff=2)
+@pytest.mark.parametrize("n_atoms, space", [
+    (2, SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2)),
+    (1, SpaceSpec(cavity_cutoff=8, n_atoms=1, atom_cutoff=3)),
+    (3, SpaceSpec(cavity_cutoff=1, n_atoms=3, atom_cutoff=2)),
+], ids=["2hp-dim36", "1hp-dim36", "3hp-dim54"])
+def test_sector_solve_agrees_with_direct(n_atoms, space):
+    p = _params(n_atoms=n_atoms, beta=0.4, tau_indiv=0.5, tau_common=2.0)
     gen = liouville.build_liouvillian(p, 0.0, space)
     direct = liouville._direct_steady(gen, space.dimension)
-    marched = liouville._marching_steady(gen, space.dimension)
-    assert np.max(np.abs(direct - marched)) < 1e-9
+    record = liouville._SolveRecord("sector", space.dimension)
+    swept = liouville._sector_steady(gen, space.dims, record)
+    assert liouville._residual(gen, swept) <= 1e-14
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+    # sectors -k..k, k the most quanta the cavity and emitters hold
+    assert record.sectors == 2 * (space.cavity_cutoff + n_atoms * space.atom_cutoff) + 1
+
+
+def _strong_two_level():
+    p = _params(beta=2.5, tau_indiv=1.0 / 3.0)
+    return p, SpaceSpec(cavity_cutoff=40, n_atoms=1, atom_model="two_level")   # dim 82
+
+
+def _strong_jitter():
+    # 1/(kappa tau_jit) = 1: photon number over |<a_c>|^2 is 2
+    return _empty(beta=4.0, tau_jitter=1.0), SpaceSpec(cavity_cutoff=80, n_atoms=0)   # dim 81
+
+
+def _assert_jitter_ratio(space, state):
+    a_c = liouville.cavity_annihilation(space)
+    mean = liouville.expectation(state, a_c)
+    number = liouville.expectation(state, a_c.conj().T @ a_c).real
+    assert abs(number / abs(mean) ** 2 - 2.0) < 1e-3
+
+
+@pytest.mark.parametrize("setup", [_strong_two_level, _strong_jitter])
+def test_strong_drive_converges_on_the_sector_path(setup):
+    p, space = setup()
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    record = liouville._SolveRecord("sector", space.dimension)
+    swept = liouville._sector_steady(gen, space.dims, record)
+    direct = liouville._direct_steady(gen, space.dimension)
+    assert record.residual <= 1e-14
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+    if p.inv_tau_jitter > 0.0:
+        _assert_jitter_ratio(space, liouville._state_from_vector(swept, space.dims))
+
+
+def test_stalled_sector_solve_falls_back_to_direct(monkeypatch, caplog):
+    # restart cycles of two iterations cannot reach the tolerance here
+    p, space = _strong_two_level()
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    monkeypatch.setattr(liouville, "_GMRES_RESTART", 2)
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    liouville.steady_state(gen, space.dims)
+    assert len(direct) == 1
+    record = caplog.records[-1].solve
+    assert record.method == "sector→direct"
+    assert record.iterations > 0 and record.residual <= 1e-10
+
+
+def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):
+    # its generator lives on a 2D grid, whose LU stays sparse at any size
+    p, space = _strong_jitter()
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    state = liouville.steady_state(gen, space.dims)
+    assert len(direct) == 1 and caplog.records[-1].solve.method == "direct"
+    _assert_jitter_ratio(space, state)
+
+
+def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
+    # a two-photon drive moves k by 2 in both directions of the sweep
+    p, space = _empty(beta=1.0, tau_jitter=1.0), SpaceSpec(cavity_cutoff=80, n_atoms=0)
+    a_c = liouville.cavity_annihilation(space)
+    squeeze = 0.4 * (a_c @ a_c + (a_c @ a_c).conj().T)
+    gen = liouville.build_liouvillian(p, 0.0, space, extra_hamiltonian=squeeze)
+    swept = liouville._sector_steady(gen, space.dims, liouville._SolveRecord("sector", 81))
+    direct = liouville._direct_steady(gen, space.dimension)
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_strong_coupling_needs_exact_sector_factors(monkeypatch):
+    # against weak loss, the incomplete sector factors stall GMRES and the
+    # second stage, with exact ones, converges
+    p = _params(g=18.0, n_atoms=2, kappa1=0.7, kappa2=0.1, gamma_par=0.1,
+                omega_c=1.5, omega_a=-2.2)
+    space = SpaceSpec(cavity_cutoff=8, n_atoms=2, atom_cutoff=2)              # dim 81
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    exact = _count_calls(monkeypatch, "splu")
+    record = liouville._SolveRecord("sector", space.dimension)
+    x = liouville._sector_steady(gen, space.dims, record)
+    assert liouville._residual(gen, x) <= 1e-14
+    # one exact factor for each sector k = 0..12
+    assert len(exact) == space.cavity_cutoff + 2 * space.atom_cutoff + 1
+
+
+def test_transmission_ladder_needs_no_direct_solve(monkeypatch):
+    # the N=3 cutoff ladder of transmission-profile: dimensions 54, 108, 162
+    p = _params(g=2.0 * math.sqrt(5.0 / 3.0), n_atoms=3, tau_common=1.0 / 3.0)
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    sectors = _count_calls(monkeypatch, "_sector_steady")
+    _, _, used = liouville.converged_moment_state(
+        p, 0.0, SpaceSpec(cavity_cutoff=1, n_atoms=3, atom_cutoff=2))
+    assert used.dimension == 162
+    assert not direct and len(sectors) == 3
+
+
+def test_every_solve_logs_one_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    small = SpaceSpec(cavity_cutoff=5, n_atoms=1, atom_cutoff=2)             # dim 18
+    large = SpaceSpec(cavity_cutoff=20, n_atoms=1, atom_cutoff=3)            # dim 84
+    p = _params(beta=1.0, tau_indiv=1.0 / 3.0)
+    for space in (small, large):
+        liouville.steady_state(liouville.build_liouvillian(p, 0.0, space), space.dims)
+    direct, sector = [r.solve for r in caplog.records]
+    assert (direct.method, direct.dimension, direct.sectors) == ("direct", 18, 1)
+    assert direct.largest_block == 18 ** 2 and direct.iterations == 0
+    assert (sector.method, sector.dimension, sector.sectors) == ("sector", 84, 47)
+    assert sector.largest_block < 84 ** 2 and sector.iterations > 0
+    for record in (direct, sector):
+        assert record.fill > 0 and record.residual <= 1e-14 and record.seconds > 0.0
+    assert caplog.records[1].getMessage().startswith("steady_state sector: dimension 84, 47 sectors")
 
 
 def test_steady_state_rejects_bad_input():
@@ -331,18 +461,6 @@ def test_probe_spectrum_rejects_bad_arguments():
 CRITERION_SPACE = SpaceSpec(cavity_cutoff=6, n_atoms=1, atom_model="hp",
                             atom_cutoff=3, probe_enabled=True)
 CRITERION_GRID = np.arange(-16.0, 16.2, 0.2) + 0.1
-
-
-def _count_calls(monkeypatch, name):
-    calls = []
-    original = getattr(liouville, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(liouville, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("omega_l", [0.0, 8.0])

@@ -7,15 +7,19 @@ identity, the relaxation of the moment equations and the height bound must
 hold on every draw.  Over rates 1e-4..1e4 the closed forms must match the
 moment solve, the symmetry-reduced moments must match the per-emitter ones
 for up to three emitters, the flux identity and the height bound must hold,
-and a parameter record must survive the JSON round trip.
+and a parameter record must survive the JSON round trip.  On small
+truncated spaces, the sector-preconditioned steady state of the
+density-matrix oracle must match the direct LU.
 """
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cavlab import analytic, moments
+from cavlab import analytic, liouville, moments
+from cavlab.liouville import SpaceSpec
 from cavlab.model import SystemParams, params_from_json, params_to_dict
 from test_moments import _per_atom_steady_state
 
@@ -158,3 +162,26 @@ def test_json_round_trip_over_wide_rates(tau_indiv, tau_common, tau_jitter, **fi
     p = SystemParams(**fields, **{key: value or math.inf for key, value in times.items()})
     # the text a config or an output header carries
     assert params_from_json(json.dumps(params_to_dict(p))) == p
+
+
+_gate_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+_gate_time = st.one_of(st.none(), _gate_rate.map(lambda rate: 1.0 / rate))
+SMALL_SPACES = (SpaceSpec(5, 1, "two_level"), SpaceSpec(4, 1, atom_cutoff=2),
+                SpaceSpec(3, 2, "two_level"), SpaceSpec(2, 2, atom_cutoff=2))
+
+
+@given(space=st.sampled_from(SMALL_SPACES), g=_gate_rate, kappa1=_gate_rate,
+       kappa2=_gate_rate, gamma_par=_gate_rate, omega_c=st.floats(-5.0, 5.0),
+       omega_a=st.floats(-5.0, 5.0), tau_indiv=_gate_time, tau_common=_gate_time,
+       tau_jitter=_gate_time, beta=st.complex_numbers(max_magnitude=1.0))
+def test_sector_steady_state_matches_direct(space, tau_indiv, tau_common, tau_jitter,
+                                            **fields):
+    times = dict(tau_indiv=tau_indiv, tau_common=tau_common, tau_jitter=tau_jitter)
+    p = SystemParams(n_atoms=space.n_atoms, **fields,
+                     **{key: value or math.inf for key, value in times.items()})
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    direct = liouville.steady_state(gen, space.dims).rho
+    # every dimension above the limit: the sector path, or its fallback
+    with mock.patch.object(liouville, "_DIRECT_SOLVE_LIMIT", 0):
+        swept = liouville.steady_state(gen, space.dims).rho
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
