@@ -70,8 +70,9 @@ DEFAULT_DIMENSION_BUDGET = 512
 # the sector solve runs above it.  Measured on one core, LU against sector
 # solve: 6 against 10 ms at dimension 24, 18-20 against 13-14 ms at 32,
 # 0.4 against 0.03 s at 54, and 54-108 s (1.2 GB peak) against 0.2-0.4 s at 108.
-# The LU of a single mode (a generator on a 2D grid) stays sparse and wins
-# at every size: 0.04 against 0.12 s at dimension 81.
+# The LU of a single mode (a generator on a 2D grid) stays sparse and takes
+# 0.04 s at dimension 81, where the sector solve of a strongly driven cavity
+# with jitter stalls near a residual of 1e-9.
 _DIRECT_SOLVE_LIMIT = 32
 # Largest Hilbert dimension for the probe's block path; every point above it
 # goes through steady_state.
@@ -366,12 +367,8 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     row lies in sector 0.  The result is accepted on the true residual of
     the full generator, which ends every restart cycle, at _BLOCK_TOL, so a
     generator that breaks the sector structure costs iterations, not
-    accuracy.  A stage gives up after a cycle that does not halve that
-    residual, or after _GMRES_CYCLES.  The first stage factors the sector
-    blocks incompletely, which caps the fill; strong coherent coupling
-    against weak loss (g = 18, kappa 0.4, gamma_par 0.1) stalls it, and a
-    second stage carries on from its iterate with exact block factors.  A
-    stage whose factors meet a zero pivot is skipped.
+    accuracy.  The solve gives up after a cycle that does not halve that
+    residual, or after _GMRES_CYCLES, or when a sector block is singular.
     """
     dim = int(np.prod(dims))
     exc = _excitations(dims)
@@ -386,33 +383,34 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     def count(_):
         record.iterations += 1
 
+    precondition = _sector_preconditioner(a, blocks, mirror, record)
+    if precondition is None:
+        return None
     x = np.zeros(dim * dim, dtype=complex)
-    for exact in (False, True):
-        precondition = _sector_preconditioner(a, blocks, mirror, exact, record)
-        if precondition is None:
-            continue
-        residual = np.inf
-        for _ in range(_GMRES_CYCLES):
-            # rtol 0: every cycle runs in full, so one that does not halve
-            # the residual has stalled
-            x, _ = gmres(a, b, x0=x, rtol=0.0, atol=0.0, restart=_GMRES_RESTART,
-                         maxiter=1, M=precondition, callback=count,
-                         callback_type="pr_norm")
-            previous, residual = residual, _residual(gen, x)
-            record.residual = residual
-            if residual <= _BLOCK_TOL:
-                return x
-            if residual > 0.5 * previous:
-                break
+    residual = np.inf
+    for _ in range(_GMRES_CYCLES):
+        # rtol 0: every cycle runs in full, so one that does not halve the
+        # residual has stalled
+        x, _ = gmres(a, b, x0=x, rtol=0.0, atol=0.0, restart=_GMRES_RESTART,
+                     maxiter=1, M=precondition, callback=count,
+                     callback_type="pr_norm")
+        previous, residual = residual, _residual(gen, x)
+        record.residual = residual
+        if residual <= _BLOCK_TOL:
+            return x
+        if residual > 0.5 * previous:
+            break
     return None
 
 
 def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
-                           mirror: np.ndarray, exact: bool,
+                           mirror: np.ndarray,
                            record: _SolveRecord) -> LinearOperator | None:
     """One block Gauss-Seidel sweep over the sectors k = 0, 1, -1, 2, -2, ...
-    of the constrained generator a, with exact or incomplete block factors;
-    None if a factor meets a zero pivot.
+    of the constrained generator a; None if a block is singular.
+
+    Each block is factored incompletely, which caps the fill, and exactly
+    if its incomplete factorization fails.
 
     blocks[k] indexes sector k >= 0, and only those blocks are factored:
     the generator maps rho^dagger to (L rho)^dagger, so the block of -k is
@@ -432,10 +430,12 @@ def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
     for k, idx in enumerate(blocks):
         block = a[idx][:, idx].tocsc()
         try:
-            factor = (splu(block, permc_spec=_SECTOR_ORDERING) if exact
-                      else spilu(block, permc_spec=_SECTOR_ORDERING, **_SECTOR_ILU))
+            factor = spilu(block, permc_spec=_SECTOR_ORDERING, **_SECTOR_ILU)
         except RuntimeError:
-            return None
+            try:
+                factor = splu(block, permc_spec=_SECTOR_ORDERING)
+            except RuntimeError:
+                return None
         record.fill += factor.nnz
         steps.append((idx, coupling(idx), factor.solve))
         if k:
@@ -844,9 +844,12 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     t_end = n_steps * dt
 
     lam, vecs = eigh(op)
-    basis = sp.csr_matrix(np.kron(vecs.conj().T, vecs.T))
-    basis_inv = sp.csr_matrix(np.kron(vecs, vecs.conj()))
-    gen_eig = (basis @ sp.csr_matrix(deterministic_gen) @ basis_inv).tocsr()
+    # vec(V^dagger rho V) = (V^dagger kron V^T) vec(rho); contracting one
+    # index of the generator at a time costs O(dim^5), not O(dim^6)
+    gen_eig = np.einsum("ia,jb,abce,ck,el->ijkl", vecs.conj().T, vecs.T,
+                        sp.csr_matrix(deterministic_gen).toarray().reshape((dim,) * 4),
+                        vecs, vecs.conj(), optimize=True)
+    gen_eig = sp.csr_matrix(gen_eig.reshape(dim * dim, dim * dim))
     deltas = (lam[:, None] - lam[None, :]).ravel()
     rho0 = vecs.conj().T @ np.asarray(initial, dtype=complex) @ vecs
     v0 = rho0.ravel()

@@ -217,24 +217,14 @@ def _strong_jitter():
     return _empty(beta=4.0, tau_jitter=1.0), SpaceSpec(cavity_cutoff=80, n_atoms=0)   # dim 81
 
 
-def _assert_jitter_ratio(space, state):
-    a_c = liouville.cavity_annihilation(space)
-    mean = liouville.expectation(state, a_c)
-    number = liouville.expectation(state, a_c.conj().T @ a_c).real
-    assert abs(number / abs(mean) ** 2 - 2.0) < 1e-3
-
-
-@pytest.mark.parametrize("setup", [_strong_two_level, _strong_jitter])
-def test_strong_drive_converges_on_the_sector_path(setup):
-    p, space = setup()
+def test_strong_drive_converges_on_the_sector_path():
+    p, space = _strong_two_level()
     gen = liouville.build_liouvillian(p, 0.0, space)
     record = liouville._SolveRecord("sector", space.dimension)
     swept = liouville._sector_steady(gen, space.dims, record)
     direct = liouville._direct_steady(gen, space.dimension)
     assert record.residual <= 1e-14
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
-    if p.inv_tau_jitter > 0.0:
-        _assert_jitter_ratio(space, liouville._state_from_vector(swept, space.dims))
 
 
 def test_stalled_sector_solve_falls_back_to_direct(monkeypatch, caplog):
@@ -252,14 +242,18 @@ def test_stalled_sector_solve_falls_back_to_direct(monkeypatch, caplog):
 
 
 def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):
-    # its generator lives on a 2D grid, whose LU stays sparse at any size
+    # its generator lives on a 2D grid, whose LU stays sparse at any size;
+    # the sector solve of this space stops near a residual of 1e-9
     p, space = _strong_jitter()
     gen = liouville.build_liouvillian(p, 0.0, space)
     direct = _count_calls(monkeypatch, "_direct_steady")
     caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
     state = liouville.steady_state(gen, space.dims)
     assert len(direct) == 1 and caplog.records[-1].solve.method == "direct"
-    _assert_jitter_ratio(space, state)
+    a_c = liouville.cavity_annihilation(space)
+    mean = liouville.expectation(state, a_c)
+    number = liouville.expectation(state, a_c.conj().T @ a_c).real
+    assert abs(number / abs(mean) ** 2 - 2.0) < 1e-3
 
 
 def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
@@ -273,18 +267,19 @@ def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def test_strong_coupling_needs_exact_sector_factors(monkeypatch):
-    # against weak loss, the incomplete sector factors stall GMRES and the
-    # second stage, with exact ones, converges
-    p = _params(g=18.0, n_atoms=2, kappa1=0.7, kappa2=0.1, gamma_par=0.1,
-                omega_c=1.5, omega_a=-2.2)
-    space = SpaceSpec(cavity_cutoff=8, n_atoms=2, atom_cutoff=2)              # dim 81
-    gen = liouville.build_liouvillian(p, 0.0, space)
+def test_a_failed_incomplete_sector_factor_is_factored_exactly(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(liouville, "spilu", failing)
     exact = _count_calls(monkeypatch, "splu")
+    p = _params(n_atoms=2, beta=0.4, tau_indiv=0.5)
+    space = SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2)              # dim 36
+    gen = liouville.build_liouvillian(p, 0.0, space)
     record = liouville._SolveRecord("sector", space.dimension)
     x = liouville._sector_steady(gen, space.dims, record)
     assert liouville._residual(gen, x) <= 1e-14
-    # one exact factor for each sector k = 0..12
+    # one exact factor for each sector k = 0..7
     assert len(exact) == space.cavity_cutoff + 2 * space.atom_cutoff + 1
 
 
