@@ -161,7 +161,8 @@ def cmd_spectrum(args) -> int:
         epsilon = float(options.get("epsilon", 1e-3))
         kappa_p = options.get("kappa_p")
         kappa_p = float(kappa_p) if kappa_p is not None else None
-        cutoff = int(options.get("cutoff", 6))
+        default = _default_cutoff(params, omega_l) if params.n_atoms == 0 else 6
+        cutoff = int(options.get("cutoff", default))
         options["epsilon"], options["cutoff"] = epsilon, cutoff
         space = SpaceSpec(cavity_cutoff=cutoff, n_atoms=params.n_atoms,
                           atom_model="hp", atom_cutoff=3, probe_enabled=True)
@@ -318,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="emission spectrum of the cavity output")
     _add_io_flags(p)
     p.add_argument("--omega-l", dest="omega_l", type=float, help="drive frequency")
-    p.add_argument("--cutoff", type=int, help="cavity cutoff for the probe method")
+    p.add_argument("--cutoff", type=int, help="cavity cutoff for the probe method: default "
+                   "6 with emitters (at most 7 with one), from the photon number without")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wigner", help="steady-state Wigner function of the cavity")

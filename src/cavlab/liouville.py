@@ -22,8 +22,9 @@ The weak-probe spectrum splits the constrained system into the probe
 populations, which do not depend on the probe detuning and are factored
 once per scan, and the probe coherences, factored per point; block
 Gauss-Seidel sweeps between the two solve each point, and a point whose
-sweeps do not reach a residual of 1e-14 is solved directly.  Every
-steady_state call logs what it did at DEBUG level on this module's logger.
+sweeps do not reach a residual of 1e-14 is solved directly.  Every block is
+the size of the system without the probe, which must pass the LU's size rule.
+Every steady_state call logs what it did at DEBUG level on this module's logger.
 The overall Hilbert-space dimension is capped by a budget, overridable
 through the CAVLAB_BUDGET environment variable.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, expm
+from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, spilu, splu
 
 from .analytic import SpectrumResult
@@ -67,16 +68,14 @@ __all__ = [
 
 DEFAULT_DIMENSION_BUDGET = 512
 # Largest Hilbert dimension of a composite space for the plain sparse LU;
-# the sector solve runs above it.  Measured on one core, LU against sector
-# solve: 6 against 10 ms at dimension 24, 18-20 against 13-14 ms at 32,
-# 0.4 against 0.03 s at 54, and 54-108 s (1.2 GB peak) against 0.2-0.4 s at 108.
-# The LU of a single mode (a generator on a 2D grid) stays sparse and takes
-# 0.04 s at dimension 81, where the sector solve of a strongly driven cavity
-# with jitter stalls near a residual of 1e-9.
+# the sector solve runs above it, and the probe spectrum, each of whose blocks
+# costs that LU, refuses a system without the probe above it.  Measured on one
+# core, LU against sector solve: 6 against 10 ms at dimension 24, 18-20 against
+# 13-14 ms at 32, 0.4 against 0.03 s at 54, and 54-108 s (1.2 GB peak) against
+# 0.2-0.4 s at 108.  The LU of a single mode (a generator on a 2D grid) stays
+# sparse and takes 0.04 s at dimension 81, where the sector solve of a strongly
+# driven cavity with jitter stalls near a residual of 1e-9.
 _DIRECT_SOLVE_LIMIT = 32
-# Largest Hilbert dimension for the probe's block path; every point above it
-# goes through steady_state.
-_PROBE_BLOCK_LIMIT = 64
 _DIRECT_TOL = 1e-10          # relative residual of a direct steady state
 _BLOCK_SWEEPS = 10           # most block Gauss-Seidel sweeps per probe point
 _BLOCK_TOL = 1e-14           # residual at which a block or sector solve is accepted
@@ -452,6 +451,11 @@ def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
     return LinearOperator(a.shape, matvec=sweep, dtype=complex)
 
 
+def _takes_direct_solve(dims: tuple[int, ...]) -> bool:
+    """Whether a space is small enough, or a single mode, for an exact LU."""
+    return int(np.prod(dims)) <= _DIRECT_SOLVE_LIMIT or len(dims) == 1
+
+
 def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
     """Stationary density matrix of the generator.
 
@@ -466,7 +470,7 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
         raise ParameterError("steady_state: generator shape does not match dims")
     start = time.perf_counter()
     record = _SolveRecord("direct", dim, largest_block=dim * dim)
-    if dim <= _DIRECT_SOLVE_LIMIT or len(dims) == 1:
+    if _takes_direct_solve(dims):
         x = _direct_steady(gen, dim, record)
     else:
         record.method = "sector"
@@ -666,7 +670,9 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     the composite steady state is solved, and the probe occupation divided by
     pi * kappa_p * epsilon**2 estimates the total spectral density; the
     coherent line appears as a Lorentzian of width kappa_p and is subtracted
-    to leave the incoherent part.
+    to leave the incoherent part.  Raises BudgetError before any solve when
+    the space without the probe, the size of each block of the exact solve,
+    fails the direct-solve rule.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon <= 0.0 or epsilon >= 1.0:
@@ -681,6 +687,9 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         raise ParameterError("probe_spectrum: space must enable the probe mode")
 
     base = replace(space, probe_enabled=False)
+    if not _takes_direct_solve(base.check_budget().dims):
+        raise BudgetError(f"probe_spectrum: dimension {base.dimension} without the "
+                          f"probe is above the direct-solve limit {_DIRECT_SOLVE_LIMIT}")
     gen0 = build_liouvillian(params, omega_l, base)
     bare = steady_state(gen0, base.dims)
     a_bare = cavity_annihilation(base)
@@ -754,15 +763,8 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
     it is solved through the LUs of its rho_11 and rho_00 blocks, rho_11
     first.  The generator maps rho^dagger to (L rho)^dagger, so only the
     rho_01 half of Q is solved and rho_10 is its mirror.
-
-    Above _PROBE_BLOCK_LIMIT every point is solved by steady_state, that is
-    by the sector solve.
     """
     dim = int(np.prod(dims))
-    if dim > _PROBE_BLOCK_LIMIT:
-        for delta in deltas:
-            yield steady_state((gen_fixed + delta * gen_detune).tocsr(), dims)
-        return
     shift = gen_detune.diagonal()
     excited = np.repeat(n_p.diagonal().real, dim) > 0.5    # probe excited in the row
     blocks = [np.flatnonzero((shift == 0) & excited),
@@ -819,19 +821,22 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     """Monte-Carlo average of trajectories with white-noise phase kicks vs the
     Lindblad evolution with jump sqrt(diffusion) * operator.
 
-    Each step applies half the deterministic propagator, the exact unitary
-    kick exp(-i sqrt(diffusion) dW O), and the second deterministic half.
-    When the kick commutes with the deterministic generator (true for
-    number-operator noise on a driveless cavity), every trajectory is the
-    deterministic evolution times one phase per eigenvalue difference of O,
-    driven by the summed noise; the trajectory average is then taken over
-    those phases instead of stepping explicitly.  The result equals the
-    stepwise path for the same seed.
+    The operator is real diagonal (a number operator).  Each step applies
+    half the deterministic propagator, the exact unitary kick
+    exp(-i sqrt(diffusion) dW O), and the second deterministic half.  When
+    the kick commutes with the generator (true for number-operator noise on
+    a driveless cavity), every trajectory is the deterministic evolution
+    times one phase per eigenvalue difference of O, driven by the summed
+    noise; the trajectory average is then taken over those phases instead
+    of stepping explicitly.  The result equals the stepwise path for the
+    same seed.
     """
-    op = operator.toarray() if sp.issparse(operator) else np.asarray(operator, dtype=complex)
+    op = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
     dim = op.shape[0]
-    if np.max(np.abs(op - op.conj().T)) > 1e-12 * max(np.max(np.abs(op)), 1e-300):
-        raise ParameterError("stochastic_dephasing_check: operator must be Hermitian")
+    lam = np.diag(op).real
+    if not np.array_equal(op, np.diag(lam)):
+        raise ParameterError(
+            "stochastic_dephasing_check: operator must be Hermitian and diagonal")
     if diffusion < 0.0:
         raise ParameterError("stochastic_dephasing_check: diffusion must be >= 0")
     if dt <= 0.0 or t_end < dt:
@@ -843,20 +848,13 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     n_steps = int(round(t_end / dt))
     t_end = n_steps * dt
 
-    lam, vecs = eigh(op)
-    # vec(V^dagger rho V) = (V^dagger kron V^T) vec(rho); contracting one
-    # index of the generator at a time costs O(dim^5), not O(dim^6)
-    gen_eig = np.einsum("ia,jb,abce,ck,el->ijkl", vecs.conj().T, vecs.T,
-                        sp.csr_matrix(deterministic_gen).toarray().reshape((dim,) * 4),
-                        vecs, vecs.conj(), optimize=True)
-    gen_eig = sp.csr_matrix(gen_eig.reshape(dim * dim, dim * dim))
+    gen = sp.csr_matrix(deterministic_gen)
     deltas = (lam[:, None] - lam[None, :]).ravel()
-    rho0 = vecs.conj().T @ np.asarray(initial, dtype=complex) @ vecs
-    v0 = rho0.ravel()
+    v0 = np.asarray(initial, dtype=complex).ravel()
 
-    # in this basis the kick is diagonal with entries deltas; it commutes with
-    # the generator when no entry of gen_eig links unequal deltas
-    entries = gen_eig.tocoo()
+    # the kick is diagonal with entries deltas; it commutes with the
+    # generator when no entry of gen links unequal deltas
+    entries = gen.tocoo()
     magnitude = np.abs(entries.data)
     linked = magnitude > 1e-13 * max(magnitude.max(initial=0.0), 1e-300)
     rows, cols = entries.row[linked], entries.col[linked]
@@ -875,10 +873,10 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
         phase_sums = sum(np.exp(-1j * root_d * np.outer(wiener.sum(axis=1), slopes)).sum(axis=0)
                          for wiener in wiener_chunks())
         factors = (phase_sums / n_traj)[labels]
-        v_mc = expm_multiply(gen_eig * t_end, v0) * factors
+        v_mc = expm_multiply(gen * t_end, v0) * factors
         method = "factored"
     else:
-        half_t = expm(gen_eig.toarray() * (0.5 * dt)).T.copy()
+        half_t = expm(gen.toarray() * (0.5 * dt)).T.copy()
         acc = np.zeros(dim * dim, dtype=complex)
         for wiener in wiener_chunks():
             states = np.broadcast_to(v0, (len(wiener), dim * dim)).copy()
@@ -890,8 +888,7 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
         v_mc = acc / n_traj
         method = "stepwise"
 
-    dissipator = -0.5 * diffusion * deltas ** 2
-    v_ref = expm_multiply((gen_eig + sp.diags(dissipator)) * t_end, v0)
+    v_ref = expm_multiply((gen + sp.diags(-0.5 * diffusion * deltas ** 2)) * t_end, v0)
     diff = (v_mc - v_ref).reshape(dim, dim)
     diff = 0.5 * (diff + diff.conj().T)
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -159,14 +159,19 @@ def test_spectrum_moments_method_reports_regression(tmp_path):
     assert header["method"] == "regression"
 
 
-def test_spectrum_probe_matches_analytic(tmp_path):
-    # single collective emitter carrying the full g^2 N
+def _one_emitter_config(tmp_path):
+    """A single collective emitter carrying the full g^2 N of DEPHASED."""
     cfg = tmp_path / "one.json"
     cfg.write_text(json.dumps({
         "g": 2.0 * math.sqrt(5.0), "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5,
         "omega_c": 0.0, "omega_a": 0.0, "gamma_par": 2.0,
         "tau_common": 1.0 / 3.0, "beta": 0.05,
         "epsilon": 0.01, "kappa_p": 1e-2 / math.pi}))
+    return cfg
+
+
+def test_spectrum_probe_matches_analytic(tmp_path):
+    cfg = _one_emitter_config(tmp_path)
     grid = "--grid=-4.3:4.7:4"
     _, header, _, probe = _run(
         ["spectrum", "--config", str(cfg), "--method", "probe", grid],
@@ -201,6 +206,25 @@ def test_spectrum_probe_above_budget_is_a_config_error(tmp_path):
     rc = cli.main(["spectrum", "--config", DEPHASED, "--method", "probe",
                    "--grid=-1:1:3", "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+
+
+def test_spectrum_probe_above_the_direct_solve_limit_is_a_config_error(tmp_path, capsys):
+    # one emitter at cutoff 8: dimension 36 without the probe
+    rc = cli.main(["spectrum", "--config", str(_one_emitter_config(tmp_path)),
+                   "--method", "probe", "--cutoff", "8", "--grid=-1:1:3",
+                   "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "limit 32" in capsys.readouterr().err
+
+
+def test_spectrum_probe_empty_cavity_default_cutoff_holds_the_photons(tmp_path):
+    # about 5.2 photons: the cutoff starts from the closed-form photon number
+    config, header, _, _ = _run(
+        ["spectrum", "--config", JITTER, "--method", "probe", "--grid=-1:1:5"],
+        tmp_path / "s.csv")
+    assert config["cutoff"] > 6
+    assert abs(float(header["coherent_power"]) - 4.0) < 1e-6
+    assert abs(float(header["photon_number"]) - 5.2) < 1e-6
 
 
 @pytest.mark.parametrize("command", ["profile", "spectrum", "wigner", "height-scan"])

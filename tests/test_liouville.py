@@ -442,6 +442,33 @@ def test_probe_spectrum_empty_cavity_jitter():
     assert rel / ref.incoherent_density[k] < 0.02
 
 
+@pytest.mark.parametrize("cutoff", [31, 40])       # dimensions 64 and 82
+def test_probe_spectrum_cavity_only_is_exact_at_any_size(monkeypatch, cutoff):
+    # without noise the probe reads only the coherent line
+    p = _empty(beta=0.05)
+    grid = np.array([-4.1, -0.1, 2.1, 4.3])
+    kappa_p = 0.01
+    solves = _count_calls(monkeypatch, "steady_state")
+    s = liouville.probe_spectrum(p, 0.0, grid, epsilon=1e-3, kappa_p=kappa_p,
+                                 space=SpaceSpec(cavity_cutoff=cutoff, n_atoms=0,
+                                                 probe_enabled=True))
+    assert len(solves) == 1                   # the bare state only
+    line = (abs(analytic.mean_field(p, 0.0)) ** 2 * (kappa_p / math.pi)
+            / (kappa_p ** 2 + grid ** 2))
+    assert np.max(np.abs(s.meta["total_density"] - line) / line) < 1e-8
+
+
+def test_probe_spectrum_refuses_a_composite_space_above_the_direct_limit(monkeypatch):
+    # one hp emitter at cutoff 8: dimension 36 without the probe, 72 with it
+    space = SpaceSpec(cavity_cutoff=8, n_atoms=1, atom_cutoff=3, probe_enabled=True)
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    solves = _count_calls(monkeypatch, "steady_state")
+    with pytest.raises(BudgetError, match="limit 32"):
+        liouville.probe_spectrum(_params(), 0.0, np.array([0.0]), epsilon=1e-3,
+                                 space=space)
+    assert direct == [] and solves == []
+
+
 def test_probe_spectrum_rejects_bad_arguments():
     p = _params()
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2, probe_enabled=True)
@@ -566,6 +593,10 @@ def test_stochastic_rejects_bad_input():
     gen, n_op, rho0 = _decaying_cavity()
     with pytest.raises(ParameterError, match="Hermitian"):
         liouville.stochastic_dephasing_check(gen, 1j * n_op, 1.0, rho0,
+                                             t_end=0.1, dt=0.01, n_traj=4, seed=1)
+    hopping = np.eye(10, k=1) + np.eye(10, k=-1)           # Hermitian, not diagonal
+    with pytest.raises(ParameterError, match="Hermitian"):
+        liouville.stochastic_dephasing_check(gen, n_op + hopping, 1.0, rho0,
                                              t_end=0.1, dt=0.01, n_traj=4, seed=1)
     with pytest.raises(ParameterError, match="diffusion"):
         liouville.stochastic_dephasing_check(gen, n_op, -1.0, rho0,
