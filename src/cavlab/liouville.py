@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, spilu, splu
 
 from .analytic import SpectrumResult
@@ -51,7 +50,6 @@ __all__ = [
     "SpaceSpec",
     "TruncatedState",
     "WignerGrid",
-    "StochasticCheckReport",
     "dimension_budget",
     "build_liouvillian",
     "steady_state",
@@ -672,7 +670,8 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     coherent line appears as a Lorentzian of width kappa_p and is subtracted
     to leave the incoherent part.  Raises BudgetError before any solve when
     the space without the probe, the size of each block of the exact solve,
-    fails the direct-solve rule.
+    fails the direct-solve rule, or the space with the probe exceeds the
+    dimension budget.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon <= 0.0 or epsilon >= 1.0:
@@ -690,6 +689,7 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     if not _takes_direct_solve(base.check_budget().dims):
         raise BudgetError(f"probe_spectrum: dimension {base.dimension} without the "
                           f"probe is above the direct-solve limit {_DIRECT_SOLVE_LIMIT}")
+    space.check_budget()
     gen0 = build_liouvillian(params, omega_l, base)
     bare = steady_state(gen0, base.dims)
     a_bare = cavity_annihilation(base)
@@ -807,48 +807,37 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
 
 # --- stochastic-Hamiltonian consistency check -------------------------------
 
-@dataclass
-class StochasticCheckReport:
-    trace_distance: float
-    method: str              # "factored" or "stepwise"
-
-
 def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
                                diffusion: float, initial: np.ndarray,
-                               t_end: float, dt: float, n_traj: int,
-                               seed: int, force_stepwise: bool = False
-                               ) -> StochasticCheckReport:
-    """Monte-Carlo average of trajectories with white-noise phase kicks vs the
-    Lindblad evolution with jump sqrt(diffusion) * operator.
+                               t_end: float, n_traj: int, seed: int) -> float:
+    """Trace distance between the average of trajectories with white-noise
+    phase kicks and the Lindblad evolution with jump sqrt(diffusion) * operator.
 
-    The operator is real diagonal (a number operator).  Each step applies
-    half the deterministic propagator, the exact unitary kick
-    exp(-i sqrt(diffusion) dW O), and the second deterministic half.  When
-    the kick commutes with the generator (true for number-operator noise on
-    a driveless cavity), every trajectory is the deterministic evolution
-    times one phase per eigenvalue difference of O, driven by the summed
-    noise; the trajectory average is then taken over those phases instead
-    of stepping explicitly.  The result equals the stepwise path for the
-    same seed.
+    The operator is real diagonal (a number operator), and its kick must
+    commute with the generator (true for number-operator noise on a driveless
+    cavity).  Every trajectory is then the deterministic evolution times
+    exp(-i sqrt(diffusion) W delta) for each eigenvalue difference delta of
+    the operator, where W ~ N(0, t_end) is the trajectory's summed noise, so
+    one draw of W per trajectory averages the kicks exactly, with no time step.
     """
     op = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
-    dim = op.shape[0]
+    gen = sp.csr_matrix(deterministic_gen)
+    dim = op.shape[0] if op.ndim == 2 else 0
+    if (op.shape != (dim, dim) or gen.shape != (dim * dim, dim * dim)
+            or np.size(initial) != dim * dim):
+        raise ParameterError(
+            "stochastic_dephasing_check: operator, generator and initial sizes disagree")
     lam = np.diag(op).real
     if not np.array_equal(op, np.diag(lam)):
         raise ParameterError(
             "stochastic_dephasing_check: operator must be Hermitian and diagonal")
     if diffusion < 0.0:
         raise ParameterError("stochastic_dephasing_check: diffusion must be >= 0")
-    if dt <= 0.0 or t_end < dt:
-        raise ParameterError("stochastic_dephasing_check: need 0 < dt <= t_end")
-    if diffusion * dt > 1.0:
-        raise ParameterError("stochastic_dephasing_check: diffusion * dt too large")
+    if t_end <= 0.0 or n_traj < 1:
+        raise ParameterError("stochastic_dephasing_check: need t_end > 0 and n_traj >= 1")
     if dim > 48:
         raise BudgetError("stochastic_dephasing_check: dimension above dense budget")
-    n_steps = int(round(t_end / dt))
-    t_end = n_steps * dt
 
-    gen = sp.csr_matrix(deterministic_gen)
     deltas = (lam[:, None] - lam[None, :]).ravel()
     v0 = np.asarray(initial, dtype=complex).ravel()
 
@@ -859,37 +848,16 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     linked = magnitude > 1e-13 * max(magnitude.max(initial=0.0), 1e-300)
     rows, cols = entries.row[linked], entries.col[linked]
     span = max(np.max(np.abs(deltas)), 1.0)
-    commutes = np.all(np.abs(deltas[rows] - deltas[cols]) <= 1e-9 * span)
-    rng = np.random.default_rng(seed)
-    root_d = math.sqrt(diffusion)
+    if np.any(np.abs(deltas[rows] - deltas[cols]) > 1e-9 * span):
+        raise ParameterError(
+            "stochastic_dephasing_check: the kick does not commute with the generator")
 
-    def wiener_chunks():
-        """Noise increments of all trajectories, 2048 trajectories at a time."""
-        for start in range(0, n_traj, 2048):
-            yield rng.standard_normal((min(2048, n_traj - start), n_steps)) * math.sqrt(dt)
-
-    if commutes and not force_stepwise:
-        slopes, labels = np.unique(deltas, return_inverse=True)
-        phase_sums = sum(np.exp(-1j * root_d * np.outer(wiener.sum(axis=1), slopes)).sum(axis=0)
-                         for wiener in wiener_chunks())
-        factors = (phase_sums / n_traj)[labels]
-        v_mc = expm_multiply(gen * t_end, v0) * factors
-        method = "factored"
-    else:
-        half_t = expm(gen.toarray() * (0.5 * dt)).T.copy()
-        acc = np.zeros(dim * dim, dtype=complex)
-        for wiener in wiener_chunks():
-            states = np.broadcast_to(v0, (len(wiener), dim * dim)).copy()
-            for k in range(n_steps):
-                states = states @ half_t
-                states *= np.exp(-1j * root_d * wiener[:, k, None] * deltas[None, :])
-                states = states @ half_t
-            acc += states.sum(axis=0)
-        v_mc = acc / n_traj
-        method = "stepwise"
+    wiener = np.random.default_rng(seed).standard_normal(n_traj) * math.sqrt(t_end)
+    slopes, labels = np.unique(deltas, return_inverse=True)
+    phases = np.exp(-1j * math.sqrt(diffusion) * np.outer(wiener, slopes)).mean(axis=0)
+    v_mc = expm_multiply(gen * t_end, v0) * phases[labels]
 
     v_ref = expm_multiply((gen + sp.diags(-0.5 * diffusion * deltas ** 2)) * t_end, v0)
     diff = (v_mc - v_ref).reshape(dim, dim)
     diff = 0.5 * (diff + diff.conj().T)
-    distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return StochasticCheckReport(trace_distance=distance, method=method)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

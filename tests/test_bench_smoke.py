@@ -1,7 +1,7 @@
 """The benchmark in ``perfbench/`` still runs against this package.
 
 Runs every operation of pass 0 of the ``sweeps`` and ``probe_scan``
-workloads, and three quick acceptance criteria of ``gate``, through the
+workloads, and four quick acceptance criteria of ``gate``, through the
 benchmark's own runner with its call tracer installed.  A renamed or removed
 function, option or traced parameter name fails here.
 """
@@ -17,8 +17,8 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
 
-QUICK_CRITERIA = ("height-bounds-and-limits", "coherent-state-preservation",
-                  "linear-regime-boundary")
+QUICK_CRITERIA = ("height-bounds-and-limits", "stochastic-dephasing",
+                  "coherent-state-preservation", "linear-regime-boundary")
 
 
 def test_benchmark_operations_run_without_errors(tmp_path):

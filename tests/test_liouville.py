@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import eval_laguerre
 
 from cavlab import analytic, liouville, moments
@@ -469,6 +471,17 @@ def test_probe_spectrum_refuses_a_composite_space_above_the_direct_limit(monkeyp
     assert direct == [] and solves == []
 
 
+def test_probe_spectrum_checks_the_budget_with_the_probe_before_any_solve(monkeypatch):
+    # cavity only at cutoff 300: dimension 301 without the probe, 602 with it
+    monkeypatch.delenv("CAVLAB_BUDGET", raising=False)
+    space = SpaceSpec(cavity_cutoff=300, n_atoms=0, probe_enabled=True)
+    solves = _count_calls(monkeypatch, "steady_state")
+    with pytest.raises(BudgetError, match="dimension 602"):
+        liouville.probe_spectrum(_empty(beta=0.05), 0.0, np.array([0.0]),
+                                 epsilon=1e-3, space=space)
+    assert solves == []
+
+
 def test_probe_spectrum_rejects_bad_arguments():
     p = _params()
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2, probe_enabled=True)
@@ -555,55 +568,94 @@ def _decaying_cavity(dim=10, beta=0.0):
     return gen, n_op, np.outer(amp, amp.conj())
 
 
+def _bridged_stepwise_distance(gen, operator, diffusion, initial, t_end, dt,
+                               n_traj, seed):
+    """The check's trace distance by explicit Strang steps: half the
+    deterministic propagator, the kick exp(-i sqrt(D) dW O), the other half.
+    The increments are the Brownian bridge to the check's W(T), drawn from the
+    same generator after W: their exact law given their sum."""
+    dim = operator.shape[0]
+    lam = np.diag(operator)
+    deltas = (lam[:, None] - lam[None, :]).ravel()
+    n_steps = int(round(t_end / dt))
+    rng = np.random.default_rng(seed)
+    wiener = rng.standard_normal(n_traj) * math.sqrt(t_end)
+    z = rng.standard_normal((n_traj, n_steps))
+    increments = wiener[:, None] / n_steps + (z - z.mean(axis=1, keepdims=True)) * math.sqrt(dt)
+    half = expm(gen.toarray() * (0.5 * dt)).T
+    states = np.broadcast_to(initial.ravel().astype(complex), (n_traj, dim * dim))
+    for k in range(n_steps):
+        states = (states @ half) * np.exp(-1j * math.sqrt(diffusion)
+                                          * increments[:, k, None] * deltas) @ half
+    v_ref = expm_multiply((gen + sp.diags(-0.5 * diffusion * deltas ** 2)) * t_end,
+                          initial.ravel().astype(complex))
+    diff = (states.mean(axis=0) - v_ref).reshape(dim, dim)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+
+
 def test_stochastic_zero_diffusion_is_exact():
     gen, n_op, rho0 = _decaying_cavity()
-    rep = liouville.stochastic_dephasing_check(gen, n_op, 0.0, rho0, t_end=0.5,
-                                               dt=0.01, n_traj=8, seed=5)
-    assert rep.trace_distance < 1e-12
+    assert liouville.stochastic_dephasing_check(gen, n_op, 0.0, rho0, t_end=0.5,
+                                                n_traj=8, seed=5) < 1e-12
 
 
 def test_stochastic_factored_equals_stepwise():
-    # the factored average regroups the same per-trajectory phases, so the
-    # two paths agree for the same seed, not merely statistically
+    # every trajectory of commuting noise is the deterministic evolution times
+    # phases set by its summed noise, so the one-draw check and the stepwise
+    # bridge to the same W(T) agree for the same seed, not merely statistically
     gen, n_op, rho0 = _decaying_cavity()
-    kwargs = dict(diffusion=1.5, initial=rho0, t_end=0.3, dt=0.01,
-                  n_traj=64, seed=42)
+    kwargs = dict(diffusion=1.5, initial=rho0, t_end=0.3, n_traj=64, seed=42)
     fast = liouville.stochastic_dephasing_check(gen, n_op, **kwargs)
-    slow = liouville.stochastic_dephasing_check(gen, n_op, force_stepwise=True,
-                                                **kwargs)
-    assert fast.method == "factored" and slow.method == "stepwise"
-    assert abs(fast.trace_distance - slow.trace_distance) < 1e-12
+    slow = _bridged_stepwise_distance(gen, n_op, dt=0.01, **kwargs)
+    assert abs(fast - slow) < 1e-12
 
 
 def test_stochastic_average_converges():
     gen, n_op, rho0 = _decaying_cavity()
-    rep = liouville.stochastic_dephasing_check(gen, n_op, 2.0, rho0, t_end=1.0,
-                                               dt=1e-3, n_traj=1000, seed=11)
-    assert rep.trace_distance < 3.0 / math.sqrt(1000)
+    distance = liouville.stochastic_dephasing_check(gen, n_op, 2.0, rho0, t_end=1.0,
+                                                    n_traj=1000, seed=11)
+    assert distance < 3.0 / math.sqrt(1000)
 
 
 def test_stochastic_drive_breaks_factoring():
     gen, n_op, rho0 = _decaying_cavity(beta=0.5)
-    rep = liouville.stochastic_dephasing_check(gen, n_op, 0.5, rho0, t_end=0.2,
-                                               dt=0.01, n_traj=32, seed=9)
-    assert rep.method == "stepwise"
+    with pytest.raises(ParameterError, match="commute"):
+        liouville.stochastic_dephasing_check(gen, n_op, 0.5, rho0, t_end=0.2,
+                                             n_traj=32, seed=9)
 
 
 def test_stochastic_rejects_bad_input():
     gen, n_op, rho0 = _decaying_cavity()
     with pytest.raises(ParameterError, match="Hermitian"):
         liouville.stochastic_dephasing_check(gen, 1j * n_op, 1.0, rho0,
-                                             t_end=0.1, dt=0.01, n_traj=4, seed=1)
+                                             t_end=0.1, n_traj=4, seed=1)
     hopping = np.eye(10, k=1) + np.eye(10, k=-1)           # Hermitian, not diagonal
     with pytest.raises(ParameterError, match="Hermitian"):
         liouville.stochastic_dephasing_check(gen, n_op + hopping, 1.0, rho0,
-                                             t_end=0.1, dt=0.01, n_traj=4, seed=1)
+                                             t_end=0.1, n_traj=4, seed=1)
     with pytest.raises(ParameterError, match="diffusion"):
         liouville.stochastic_dephasing_check(gen, n_op, -1.0, rho0,
-                                             t_end=0.1, dt=0.01, n_traj=4, seed=1)
+                                             t_end=0.1, n_traj=4, seed=1)
+    with pytest.raises(ParameterError, match="t_end"):
+        liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
+                                             t_end=0.0, n_traj=4, seed=1)
+    with pytest.raises(ParameterError, match="n_traj"):
+        liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
+                                             t_end=0.1, n_traj=0, seed=1)
+    for op in (np.diag(np.arange(8.0)), np.diag(np.arange(12.0))):
+        with pytest.raises(ParameterError, match="sizes disagree"):
+            liouville.stochastic_dephasing_check(gen, op, 1.0, rho0,
+                                                 t_end=0.1, n_traj=4, seed=1)
+    gen_small, _, _ = _decaying_cavity(dim=8)
+    with pytest.raises(ParameterError, match="sizes disagree"):
+        liouville.stochastic_dephasing_check(gen_small, n_op, 1.0, rho0,
+                                             t_end=0.1, n_traj=4, seed=1)
+    with pytest.raises(ParameterError, match="sizes disagree"):
+        liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0[:8, :8],
+                                             t_end=0.1, n_traj=4, seed=1)
     big = SpaceSpec(cavity_cutoff=59, n_atoms=0)
     gen_big = liouville.build_liouvillian(_empty(), 0.0, big)
     with pytest.raises(BudgetError):
         liouville.stochastic_dephasing_check(
             gen_big, np.diag(np.arange(60.0)), 1.0, np.eye(60) / 60.0,
-            t_end=0.1, dt=0.01, n_traj=4, seed=1)
+            t_end=0.1, n_traj=4, seed=1)

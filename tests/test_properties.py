@@ -9,7 +9,9 @@ moment solve, the symmetry-reduced moments must match the per-emitter ones
 for up to three emitters, the flux identity and the height bound must hold,
 and a parameter record must survive the JSON round trip.  On small
 truncated spaces, the sector-preconditioned steady state of the
-density-matrix oracle must match the direct LU.
+density-matrix oracle must match the direct LU, and the stochastic
+dephasing check without diffusion must be exact at any time, seed and
+trajectory count.
 """
 import json
 import math
@@ -185,3 +187,18 @@ def test_sector_steady_state_matches_direct(space, tau_indiv, tau_common, tau_ji
     with mock.patch.object(liouville, "_DIRECT_SOLVE_LIMIT", 0):
         swept = liouville.steady_state(gen, space.dims).rho
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@given(t_end=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e), n_traj=st.integers(1, 100),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stochastic_check_without_diffusion_is_exact(t_end, n_traj, seed):
+    # no kick: every trajectory is the Lindblad evolution itself
+    space = SpaceSpec(cavity_cutoff=3, n_atoms=0)
+    p = SystemParams(g=0.0, n_atoms=0, kappa1=0.5, kappa2=0.5, omega_c=0.0,
+                     omega_a=0.0, gamma_par=1.0, beta=0.0)
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    amp = liouville.coherent_vector(0.5, space.dimension)
+    distance = liouville.stochastic_dephasing_check(
+        gen, np.diag(np.arange(space.dimension, dtype=float)), 0.0,
+        np.outer(amp, amp.conj()), t_end=t_end, n_traj=n_traj, seed=seed)
+    assert distance < 1e-12
