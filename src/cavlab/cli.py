@@ -51,6 +51,12 @@ def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_config(args) -> tuple[SystemParams, dict]:
     """Split the config file into physics parameters and command options.
 
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the acceptance checks, report JSON")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--seed", type=int, help="seed for the random sweeps")
+    p.add_argument("--seed", type=_seed, help="seed for the random sweeps (>= 0)")
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -24,7 +24,8 @@ once per scan, and the probe coherences, factored per point; block
 Gauss-Seidel sweeps between the two solve each point, and a point whose
 sweeps do not reach a residual of 1e-14 is solved directly.  Every block is
 the size of the system without the probe, which must pass the LU's size rule.
-Every steady_state call logs what it did at DEBUG level on this module's logger.
+Every steady_state call, and every rung of the cavity-cutoff scan, logs what
+it did at DEBUG level on this module's logger.
 The overall Hilbert-space dimension is capped by a budget, overridable
 through the CAVLAB_BUDGET environment variable.
 """
@@ -530,20 +531,31 @@ def steady_moment_state(params: SystemParams, omega_l: float,
 
 def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpec
                            ) -> tuple[MomentState, TruncatedState, SpaceSpec]:
-    """Raise the cavity cutoff by 2 until the reported moments settle."""
+    """Raise the cavity cutoff by 2 until the reported moments settle.  Each
+    rung logs its cutoff, dimension and relative moment change (NaN on the
+    first) at DEBUG level."""
     current = space
     mstate, state = steady_moment_state(params, omega_l, current)
+    _log_rung(current, math.nan)
     for _ in range(_CUTOFF_ROUNDS):
         bigger = replace(current, cavity_cutoff=current.cavity_cutoff + 2)
         m2, s2 = steady_moment_state(params, omega_l, bigger)
         ref = np.abs(mstate.packed())
         change = np.max(np.abs(m2.packed() - mstate.packed()) / np.maximum(ref, 1e-300))
+        _log_rung(bigger, change)
         if change < _CUTOFF_REL_TOL:
             return m2, s2, bigger
         current, mstate, state = bigger, m2, s2
     raise SingularSystemError(
         "converged_moment_state: cavity cutoff did not converge within budget"
     )
+
+
+def _log_rung(space: SpaceSpec, change: float) -> None:
+    rung = dict(cavity_cutoff=space.cavity_cutoff, dimension=space.dimension, change=change)
+    _log.debug("converged_moment_state rung: cavity cutoff %(cavity_cutoff)d, "
+               "dimension %(dimension)d, relative moment change %(change).2e",
+               rung, extra={"rung": rung})
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
@@ -819,6 +831,7 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     exp(-i sqrt(diffusion) W delta) for each eigenvalue difference delta of
     the operator, where W ~ N(0, t_end) is the trajectory's summed noise, so
     one draw of W per trajectory averages the kicks exactly, with no time step.
+    The Lindblad reference is that evolution times exp(-diffusion t_end delta**2 / 2).
     """
     op = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
     gen = sp.csr_matrix(deterministic_gen)
@@ -831,10 +844,13 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     if not np.array_equal(op, np.diag(lam)):
         raise ParameterError(
             "stochastic_dephasing_check: operator must be Hermitian and diagonal")
-    if diffusion < 0.0:
-        raise ParameterError("stochastic_dephasing_check: diffusion must be >= 0")
-    if t_end <= 0.0 or n_traj < 1:
-        raise ParameterError("stochastic_dephasing_check: need t_end > 0 and n_traj >= 1")
+    if not 0.0 <= diffusion < math.inf:
+        raise ParameterError("stochastic_dephasing_check: diffusion must be finite and >= 0")
+    if not 0.0 < t_end < math.inf or n_traj < 1:
+        raise ParameterError(
+            "stochastic_dephasing_check: need finite t_end > 0 and n_traj >= 1")
+    if seed < 0:
+        raise ParameterError("stochastic_dephasing_check: seed must be >= 0")
     if dim > 48:
         raise BudgetError("stochastic_dephasing_check: dimension above dense budget")
 
@@ -853,11 +869,10 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
             "stochastic_dephasing_check: the kick does not commute with the generator")
 
     wiener = np.random.default_rng(seed).standard_normal(n_traj) * math.sqrt(t_end)
-    slopes, labels = np.unique(deltas, return_inverse=True)
-    phases = np.exp(-1j * math.sqrt(diffusion) * np.outer(wiener, slopes)).mean(axis=0)
-    v_mc = expm_multiply(gen * t_end, v0) * phases[labels]
-
-    v_ref = expm_multiply((gen + sp.diags(-0.5 * diffusion * deltas ** 2)) * t_end, v0)
-    diff = (v_mc - v_ref).reshape(dim, dim)
+    slopes, labels = np.unique(np.abs(deltas), return_inverse=True)
+    phase = np.exp(-1j * math.sqrt(diffusion) * np.outer(wiener, slopes)).mean(axis=0)[labels]
+    kick = np.where(deltas < 0, phase.conj(), phase)      # -delta kicks by the conjugate
+    u = expm_multiply(gen * t_end, v0)
+    diff = (u * (kick - np.exp(-0.5 * diffusion * t_end * deltas ** 2))).reshape(dim, dim)
     diff = 0.5 * (diff + diff.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -317,6 +317,20 @@ def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     assert doc["all_passed"] is False
 
 
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_validate_rejects_a_bad_seed_before_any_criterion(seed, monkeypatch, capsys):
+    def never(seed):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(validation, "CRITERIA", (("never", never),))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cavlab validate")
+    assert "seed must be a non-negative integer" in err
+
+
 def _raise_in_criterion(seed):
     raise ZeroDivisionError("float division by zero")
 

@@ -285,8 +285,10 @@ def test_a_failed_incomplete_sector_factor_is_factored_exactly(monkeypatch):
     assert len(exact) == space.cavity_cutoff + 2 * space.atom_cutoff + 1
 
 
-def test_transmission_ladder_needs_no_direct_solve(monkeypatch):
-    # the N=3 cutoff ladder of transmission-profile: dimensions 54, 108, 162
+def test_transmission_ladder_needs_no_direct_solve(monkeypatch, caplog):
+    # the N=3 cutoff ladder of transmission-profile: dimensions 54, 108, 162,
+    # one DEBUG record per rung
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
     p = _params(g=2.0 * math.sqrt(5.0 / 3.0), n_atoms=3, tau_common=1.0 / 3.0)
     direct = _count_calls(monkeypatch, "_direct_steady")
     sectors = _count_calls(monkeypatch, "_sector_steady")
@@ -294,6 +296,14 @@ def test_transmission_ladder_needs_no_direct_solve(monkeypatch):
         p, 0.0, SpaceSpec(cavity_cutoff=1, n_atoms=3, atom_cutoff=2))
     assert used.dimension == 162
     assert not direct and len(sectors) == 3
+    records = [r for r in caplog.records if hasattr(r, "rung")]
+    rungs = [r.rung for r in records]
+    assert [(r["cavity_cutoff"], r["dimension"]) for r in rungs] == [(1, 54), (3, 108),
+                                                                       (5, 162)]
+    assert math.isnan(rungs[0]["change"])
+    assert rungs[1]["change"] >= 1e-6 > rungs[2]["change"]
+    assert records[0].getMessage().startswith(
+        "converged_moment_state rung: cavity cutoff 1, dimension 54")
 
 
 def test_every_solve_logs_one_record(caplog):
@@ -642,6 +652,16 @@ def test_stochastic_rejects_bad_input():
     with pytest.raises(ParameterError, match="n_traj"):
         liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
                                              t_end=0.1, n_traj=0, seed=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="diffusion"):
+            liouville.stochastic_dephasing_check(gen, n_op, bad, rho0,
+                                                 t_end=0.1, n_traj=4, seed=1)
+        with pytest.raises(ParameterError, match="t_end"):
+            liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
+                                                 t_end=bad, n_traj=4, seed=1)
+    with pytest.raises(ParameterError, match="seed"):
+        liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
+                                             t_end=0.1, n_traj=4, seed=-1)
     for op in (np.diag(np.arange(8.0)), np.diag(np.arange(12.0))):
         with pytest.raises(ParameterError, match="sizes disagree"):
             liouville.stochastic_dephasing_check(gen, op, 1.0, rho0,

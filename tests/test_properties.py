@@ -11,7 +11,8 @@ and a parameter record must survive the JSON round trip.  On small
 truncated spaces, the sector-preconditioned steady state of the
 density-matrix oracle must match the direct LU, and the stochastic
 dephasing check without diffusion must be exact at any time, seed and
-trajectory count.
+trajectory count, and with diffusion must equal the two-propagation
+reference, the Lindblad generator evolved on its own.
 """
 import json
 import math
@@ -19,6 +20,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from cavlab import analytic, liouville, moments
 from cavlab.liouville import SpaceSpec
@@ -202,3 +205,59 @@ def test_stochastic_check_without_diffusion_is_exact(t_end, n_traj, seed):
         gen, np.diag(np.arange(space.dimension, dtype=float)), 0.0,
         np.outer(amp, amp.conj()), t_end=t_end, n_traj=n_traj, seed=seed)
     assert distance < 1e-12
+
+
+def _two_propagation_distance(gen, operator, diffusion, initial, t_end, n_traj, seed):
+    """The check's trace distance with the Lindblad reference evolved on its
+    own generator, gen - D/2 diag(delta**2), and the phases averaged over
+    every signed delta."""
+    lam = np.diag(operator)
+    deltas = (lam[:, None] - lam[None, :]).ravel()
+    v0 = np.asarray(initial, dtype=complex).ravel()
+    wiener = np.random.default_rng(seed).standard_normal(n_traj) * math.sqrt(t_end)
+    slopes, labels = np.unique(deltas, return_inverse=True)
+    phases = np.exp(-1j * math.sqrt(diffusion) * np.outer(wiener, slopes)).mean(axis=0)
+    v_mc = expm_multiply(gen * t_end, v0) * phases[labels]
+    v_ref = expm_multiply((gen + sp.diags(-0.5 * diffusion * deltas ** 2)) * t_end, v0)
+    diff = (v_mc - v_ref).reshape(len(lam), len(lam))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+
+
+@st.composite
+def commuting_noise(draw):
+    """A generator, a real diagonal noise operator whose kick commutes with it,
+    and an initial density matrix: the decaying cavity with its number
+    operator, or pure dephasing with a non-equally spaced diagonal operator."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(2, 5))
+        p = SystemParams(g=0.0, n_atoms=0, kappa1=0.5, kappa2=0.5, omega_c=0.0,
+                         omega_a=0.0, gamma_par=1.0, beta=0.0)
+        gen = liouville.build_liouvillian(p, 0.0, SpaceSpec(cavity_cutoff=dim - 1,
+                                                             n_atoms=0))
+        lam = np.arange(dim, dtype=float)
+    else:
+        lam = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5)))
+        dim = len(lam)
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        energies = rng.uniform(-3.0, 3.0, dim)
+        rates = rng.uniform(0.0, 2.0, (dim, dim))
+        gen = sp.diags((-1j * (energies[:, None] - energies[None, :])
+                        - (rates + rates.T)).ravel())
+    amp = draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=dim,
+                        max_size=dim).filter(lambda z: np.linalg.norm(z) > 0.1))
+    amp = np.array(amp) / np.linalg.norm(amp)
+    mixed = np.diag(np.full(dim, 1.0 / dim))
+    return gen, np.diag(lam), 0.5 * (np.outer(amp, amp.conj()) + mixed)
+
+
+@given(system=commuting_noise(), diffusion=st.floats(0.0, 5.0),
+       t_end=st.floats(1e-3, 10.0), n_traj=st.integers(1, 200),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stochastic_check_matches_two_propagations(system, diffusion, t_end, n_traj, seed):
+    # the Lindblad channel of a commuting kick is its decoherence factor on
+    # the same evolution, and the kick of -delta the conjugate of delta's
+    gen, operator, initial = system
+    kwargs = dict(diffusion=diffusion, initial=initial, t_end=t_end, n_traj=n_traj,
+                  seed=seed)
+    assert abs(liouville.stochastic_dephasing_check(gen, operator, **kwargs)
+               - _two_propagation_distance(gen, operator, **kwargs)) <= 1e-12
