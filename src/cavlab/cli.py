@@ -9,7 +9,9 @@ keeps it as an exact scalar.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -316,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cavlab",
         description="Steady-state optics of a driven cavity coupled to "
                     "two-level emitters.")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log every solve and cutoff rung to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="reflection/transmission sweep over drive frequency")
@@ -349,18 +353,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _debug_records_to_stderr():
+    """Send the cavlab loggers' DEBUG records to stderr while the block runs."""
+    logger = logging.getLogger("cavlab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParameterError, BudgetError, SingularSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _debug_records_to_stderr() if args.verbose else contextlib.nullcontext():
+        try:
+            return args.func(args)
+        except (ParameterError, BudgetError, SingularSystemError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:
+            return 0
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,10 @@ constraint.  Up to Hilbert dimension 32, and for a single mode at any size,
 that system is solved by sparse LU.  Above it, restarted GMRES solves it,
 preconditioned by a block Gauss-Seidel sweep over excitation sectors: every
 term but the cavity drive conserves the ket's minus the bra's excitations,
-so the sector blocks are coupled only weakly.  A solve that stalls above a
-residual of 1e-14 falls back to the LU.
+so the sector blocks are coupled only weakly.  That solve has one unknown
+per orbit of the emitter permutations the generator commutes with, since
+identical emitters have a permutation-invariant steady state.  A solve that
+stalls above a residual of 1e-14 of the full generator falls back to the LU.
 The weak-probe spectrum splits the constrained system into the probe
 populations, which do not depend on the probe detuning and are factored
 once per scan, and the probe coherences, factored per point; block
@@ -41,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres, spilu, splu
+from scipy.sparse.linalg import norm as spnorm
 
 from .analytic import SpectrumResult
 from .errors import BudgetError, ParameterError, SingularSystemError
@@ -78,12 +81,21 @@ _DIRECT_SOLVE_LIMIT = 32
 _DIRECT_TOL = 1e-10          # relative residual of a direct steady state
 _BLOCK_SWEEPS = 10           # most block Gauss-Seidel sweeps per probe point
 _BLOCK_TOL = 1e-14           # residual at which a block or sector solve is accepted
+# Largest change of a generator entry, relative to its largest, under a swap
+# of two emitters that still counts them identical.  Sums of the same terms
+# in another order differ by a few ulps; a real asymmetry is far larger.
+_SYMMETRY_TOL = 1e-13
 _GMRES_RESTART = 20          # iterations per restart cycle of the sector solve
 _GMRES_CYCLES = 5            # most restart cycles before the direct fallback
 # Incomplete sector factors.  At dimension 162 exact block LUs hold 5.9M
 # entries and peak at 208 MB, these 0.56M at about 110 MB.
 _SECTOR_ILU = dict(drop_tol=1e-3, fill_factor=4)
 _SECTOR_ORDERING = "MMD_AT_PLUS_A"   # least fill of SuperLU's orderings here
+# Largest ||gen||_1 * t_end the stochastic check propagates: expm_multiply
+# takes about that many products with the generator.  The stochastic-dephasing
+# criterion needs 68; just below 1e4 a check took 0.2-0.3 s at dimension 4
+# and 0.5 s at the criterion's dimension 18 (one BLAS thread).
+_PROPAGATION_BUDGET = 1e4
 _POSITIVITY_FLOOR = -1e-8    # most negative eigenvalue a steady state may have
 _CUTOFF_REL_TOL = 1e-6       # moment change that ends the cavity-cutoff scan
 _CUTOFF_ROUNDS = 4
@@ -287,6 +299,7 @@ class _SolveRecord:
 
     method: str               # "direct", "sector" or "sector→direct"
     dimension: int            # Hilbert dimension
+    unknowns: int = 0         # size of the system solved: dimension**2 unreduced
     sectors: int = 1
     largest_block: int = 0    # unknowns in the largest factored block
     fill: int = 0             # entries of every LU factor formed
@@ -296,25 +309,29 @@ class _SolveRecord:
 
     def __str__(self) -> str:
         return (f"steady_state {self.method}: dimension {self.dimension}, "
-                f"{self.sectors} sectors, largest block {self.largest_block}, "
+                f"{self.sectors} sectors, {self.unknowns} unknowns, "
+                f"largest block {self.largest_block}, "
                 f"fill {self.fill}, {self.iterations} GMRES iterations, "
                 f"residual {self.residual:.2e}, {self.seconds:.3f} s")
 
 
-def _trace_indices(dim: int) -> np.ndarray:
-    return np.arange(dim) * (dim + 1)
+def _trace_row(dim: int) -> np.ndarray:
+    """tr(rho) as a row over the vectorized state."""
+    row = np.zeros(dim * dim)
+    row[::dim + 1] = 1.0
+    return row
 
 
-def _constrained(gen: sp.spmatrix, dim: int) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The generator with its first row replaced by the trace constraint, and
-    the right-hand side e_0 that goes with it."""
+def _constrained(gen: sp.spmatrix, trace: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The generator with its first row replaced by the trace row, and the
+    right-hand side e_0 that goes with it."""
     coo = gen.tocoo()
     keep = coo.row != 0
-    rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], _trace_indices(dim)])
-    data = np.concatenate([coo.data[keep], np.ones(dim, dtype=complex)])
-    a = sp.csc_matrix((data, (rows, cols)), shape=gen.shape)
-    b = np.zeros(dim * dim, dtype=complex)
+    cols = np.flatnonzero(trace)
+    rows = np.concatenate([coo.row[keep], np.zeros(cols.size, dtype=coo.row.dtype)])
+    data = np.concatenate([coo.data[keep], trace[cols]])
+    a = sp.csc_matrix((data, (rows, np.concatenate([coo.col[keep], cols]))), shape=gen.shape)
+    b = np.zeros(gen.shape[0], dtype=complex)
     b[0] = 1.0
     return a, b
 
@@ -325,7 +342,7 @@ def _residual(gen: sp.spmatrix, x: np.ndarray) -> float:
 
 def _direct_steady(gen: sp.spmatrix, dim: int,
                    record: _SolveRecord | None = None) -> np.ndarray:
-    a, b = _constrained(gen, dim)
+    a, b = _constrained(gen, _trace_row(dim))
     try:
         lu = splu(a)
         x = lu.solve(b)
@@ -339,6 +356,7 @@ def _direct_steady(gen: sp.spmatrix, dim: int,
             f"steady_state: residual {residual:.3e} above tolerance {_DIRECT_TOL:.3e}"
         )
     if record is not None:
+        record.unknowns = dim * dim
         record.fill += lu.nnz
         record.residual = residual
     return x
@@ -354,27 +372,40 @@ def _excitations(dims: tuple[int, ...]) -> np.ndarray:
 
 def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
                    record: _SolveRecord) -> np.ndarray | None:
-    """Steady state by restarted GMRES on the constrained generator,
-    preconditioned by one block Gauss-Seidel sweep over excitation sectors;
-    None when the iteration stalls.
+    """Steady state by restarted GMRES on the constrained generator over the
+    orbits of the emitter permutations, preconditioned by one block
+    Gauss-Seidel sweep over excitation sectors; None when the iteration stalls.
+
+    A steady state of a generator that commutes with a permutation of
+    identical emitters can be taken invariant under it, so it is x = S y,
+    S the 0/1 expansion of orbit values to entries (see _permutation_orbits),
+    and gen x = 0 holds on every row once it holds on one row per orbit.  The
+    system solved is therefore gen[reps] S, with the trace row weighting each
+    diagonal orbit by its size.  Without identical emitters every entry is its
+    own orbit.
 
     Entry (i, j) of the vectorized state lies in sector k = exc(i) - exc(j),
-    exc counting the quanta of cavity, emitters and probe.  Every term of
-    the generator but the cavity drive conserves k, and the drive moves it by
-    one, so the constrained generator is block tridiagonal in k; the trace
-    row lies in sector 0.  The result is accepted on the true residual of
-    the full generator, which ends every restart cycle, at _BLOCK_TOL, so a
-    generator that breaks the sector structure costs iterations, not
-    accuracy.  The solve gives up after a cycle that does not halve that
-    residual, or after _GMRES_CYCLES, or when a sector block is singular.
+    exc counting the quanta of cavity, emitters and probe, and so does its
+    whole orbit.  Every term of the generator but the cavity drive conserves
+    k, and the drive moves it by one, so the constrained generator is block
+    tridiagonal in k; the trace row lies in sector 0.  The result is accepted
+    on the true residual of the full generator, which ends every restart
+    cycle, at _BLOCK_TOL, so a generator that breaks the sector structure
+    costs iterations, not accuracy.  The solve gives up after a cycle that
+    does not halve that residual, or after _GMRES_CYCLES, or when a sector
+    block is singular.
     """
     dim = int(np.prod(dims))
+    gen = gen.tocsr()
+    reps, labels = _permutation_orbits(gen, dims)
+    expand = sp.csr_matrix((np.ones(labels.size), (np.arange(labels.size), labels)))
     exc = _excitations(dims)
-    sector = (exc[:, None] - exc[None, :]).ravel()
-    mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    a, b = _constrained(gen, dim)
+    sector = (exc[:, None] - exc[None, :]).ravel()[reps]
+    mirror = labels[np.arange(dim * dim).reshape(dim, dim).T.ravel()[reps]]
+    a, b = _constrained(gen[reps] @ expand, _trace_row(dim) @ expand)
     a = a.tocsr()
     blocks = [np.flatnonzero(sector == k) for k in range(int(exc.max()) + 1)]
+    record.unknowns = reps.size
     record.sectors = 2 * len(blocks) - 1
     record.largest_block = max(idx.size for idx in blocks)
 
@@ -384,14 +415,15 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     precondition = _sector_preconditioner(a, blocks, mirror, record)
     if precondition is None:
         return None
-    x = np.zeros(dim * dim, dtype=complex)
+    y = np.zeros(reps.size, dtype=complex)
     residual = np.inf
     for _ in range(_GMRES_CYCLES):
         # rtol 0: every cycle runs in full, so one that does not halve the
         # residual has stalled
-        x, _ = gmres(a, b, x0=x, rtol=0.0, atol=0.0, restart=_GMRES_RESTART,
+        y, _ = gmres(a, b, x0=y, rtol=0.0, atol=0.0, restart=_GMRES_RESTART,
                      maxiter=1, M=precondition, callback=count,
                      callback_type="pr_norm")
+        x = y[labels]
         previous, residual = residual, _residual(gen, x)
         record.residual = residual
         if residual <= _BLOCK_TOL:
@@ -399,6 +431,45 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
         if residual > 0.5 * previous:
             break
     return None
+
+
+def _permutation_orbits(gen: sp.csr_matrix, dims: tuple[int, ...]
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of the orbits of the vectorized indices under the
+    emitter permutations that gen commutes with, and every index's orbit.
+
+    Adjacent sites after the cavity with equal dims join a run when the
+    swap of their levels, in ket and bra alike, leaves gen unchanged to
+    _SYMMETRY_TOL of its largest entry; adjacent swaps generate every
+    permutation of a run.  Entry (i, j) is represented by the entry whose
+    (ket, bra) level pairs on each run's sites are sorted, and the
+    representatives are these canonical indices in ascending order, so entry
+    (0, 0), which holds the trace row, is orbit 0.
+    """
+    sites = len(dims)
+    shape = dims + dims
+    digits = list(np.unravel_index(np.arange(int(np.prod(shape))), shape))
+    tol = _SYMMETRY_TOL * abs(gen).max()
+    runs: list[list[int]] = []
+    for s in range(1, sites - 1):
+        if dims[s] != dims[s + 1]:
+            continue
+        swapped = list(digits)
+        for t in (s, s + sites):
+            swapped[t], swapped[t + 1] = digits[t + 1], digits[t]
+        perm = np.ravel_multi_index(swapped, shape)
+        if abs(gen[perm][:, perm] - gen).max() > tol:
+            continue
+        if runs and runs[-1][-1] == s:
+            runs[-1].append(s + 1)
+        else:
+            runs.append([s, s + 1])
+    for run in runs:
+        d = dims[run[0]]
+        pairs = np.sort([digits[s] * d + digits[s + sites] for s in run], axis=0)
+        for s, pair in zip(run, pairs):
+            digits[s], digits[s + sites] = np.divmod(pair, d)
+    return np.unique(np.ravel_multi_index(digits, shape), return_inverse=True)
 
 
 def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
@@ -460,8 +531,9 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
 
     Up to the direct-solve size limit, and for a single mode at any size: a
     sparse LU solve with the trace constraint replacing one row.  Above it:
-    GMRES preconditioned by the excitation sectors (see _sector_steady), and
-    the direct solve if that stalls.  Each call logs a _SolveRecord at DEBUG
+    GMRES over the orbits of identical emitters, preconditioned by the
+    excitation sectors (see _sector_steady), and the direct solve if that
+    stalls.  Each call logs a _SolveRecord at DEBUG
     level.
     """
     dim = int(np.prod(dims))
@@ -783,7 +855,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
               np.flatnonzero((shift == 0) & ~excited),
               np.flatnonzero(shift.imag > 0)]                    # rho_01
     mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()[blocks[2]]
-    a, b = _constrained(gen_fixed, dim)
+    a, b = _constrained(gen_fixed, _trace_row(dim))
     a = a.tocsr()
     rest = [np.setdiff1d(np.arange(dim * dim), idx) for idx in blocks]
     diagonal = [a[idx][:, idx].tocsc() for idx in blocks]
@@ -832,6 +904,8 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     the operator, where W ~ N(0, t_end) is the trajectory's summed noise, so
     one draw of W per trajectory averages the kicks exactly, with no time step.
     The Lindblad reference is that evolution times exp(-diffusion t_end delta**2 / 2).
+    The evolution costs about ||gen||_1 * t_end products with the generator;
+    above _PROPAGATION_BUDGET the check raises BudgetError before it.
     """
     op = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
     gen = sp.csr_matrix(deterministic_gen)
@@ -853,6 +927,11 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
         raise ParameterError("stochastic_dephasing_check: seed must be >= 0")
     if dim > 48:
         raise BudgetError("stochastic_dephasing_check: dimension above dense budget")
+    stiffness = spnorm(gen, 1) * t_end
+    if stiffness > _PROPAGATION_BUDGET:
+        raise BudgetError(
+            f"stochastic_dephasing_check: ||gen||_1 * t_end = {stiffness:.3g} exceeds "
+            f"the propagation budget {_PROPAGATION_BUDGET:.0e}")
 
     deltas = (lam[:, None] - lam[None, :]).ravel()
     v0 = np.asarray(initial, dtype=complex).ravel()

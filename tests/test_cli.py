@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end."""
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -380,6 +381,27 @@ def test_validate_budget_skip_and_reproducibility(tmp_path, monkeypatch):
     assert skipped and all("budget" in r["reason"] for r in skipped)
     for entry in doc["results"]:
         assert set(entry) == {"name", "passed", "skipped", "reason", "detail"}
+
+
+def test_verbose_logs_every_solve_to_stderr_and_leaves_stdout_alone(tmp_path, capsys):
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps({
+        "g": 1.0, "n_atoms": 2, "kappa1": 0.5, "kappa2": 0.5, "omega_c": 0.0,
+        "omega_a": 0.0, "gamma_par": 2.0, "tau_indiv": 0.5, "beta": 0.05}))
+    argv = ["wigner", "--config", str(cfg), "--cutoff", "2", "--grid=-1:1:3"]
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr()
+    assert cli.main(["-v"] + argv) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == quiet.out and quiet.err == ""
+    lines = verbose.err.splitlines()
+    # dimension 48: 3**2 cavity entries times 136 multisets of two emitter level pairs
+    assert lines[0].startswith("cavlab.liouville: steady_state sector: dimension 48, "
+                               "17 sectors, 1224 unknowns, ")
+    assert lines[1].startswith("cavlab.liouville: converged_moment_state rung: "
+                               "cavity cutoff 2, dimension 48")
+    assert logging.getLogger("cavlab").handlers == []
+    assert cli.main(argv) == 0 and capsys.readouterr().err == ""
 
 
 def test_module_runs_as_subprocess(tmp_path):

@@ -2,6 +2,7 @@
 stochastic dephasing consistency."""
 import logging
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -269,6 +270,34 @@ def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+def test_a_one_emitter_term_keeps_every_entry_an_unknown():
+    p = _params(n_atoms=2, beta=0.4, tau_indiv=0.5, tau_common=2.0)
+    space = SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2)              # dim 36
+    gen = liouville.build_liouvillian(
+        p, 0.0, space, extra_hamiltonian=0.3 * liouville.atom_number(space, 0))
+    record = liouville._SolveRecord("sector", space.dimension)
+    swept = liouville._sector_steady(gen, space.dims, record)
+    direct = liouville._direct_steady(gen, space.dimension)
+    assert record.unknowns == space.dimension ** 2
+    assert liouville._residual(gen, swept) <= 1e-14
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_the_cavity_never_joins_the_emitter_orbits():
+    # an undriven, uncoupled cavity that decays like the two-level emitters:
+    # the generator commutes with every permutation of the three sites, yet
+    # only the emitters are identical by construction
+    p = _params(g=0.0, n_atoms=2, kappa1=0.5, kappa2=0.5, gamma_par=2.0, beta=0.0)
+    space = SpaceSpec(cavity_cutoff=1, n_atoms=2, atom_model="two_level")    # dims 2, 2, 2
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    reps, labels = liouville._permutation_orbits(gen, space.dims)
+    # 2**2 cavity entries times the multisets of two emitter level pairs
+    assert reps.size == 4 * 10 and labels.max() == reps.size - 1
+    swept = liouville._sector_steady(gen, space.dims,
+                                     liouville._SolveRecord("sector", space.dimension))
+    assert np.max(np.abs(swept - liouville._direct_steady(gen, space.dimension))) <= 1e-14
+
+
 def test_a_failed_incomplete_sector_factor_is_factored_exactly(monkeypatch):
     def failing(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -296,6 +325,9 @@ def test_transmission_ladder_needs_no_direct_solve(monkeypatch, caplog):
         p, 0.0, SpaceSpec(cavity_cutoff=1, n_atoms=3, atom_cutoff=2))
     assert used.dimension == 162
     assert not direct and len(sectors) == 3
+    # solved over the orbits of the three identical emitters
+    solves = [r.solve for r in caplog.records if hasattr(r, "solve")]
+    assert [r.unknowns for r in solves] == [660, 2640, 5940]
     records = [r for r in caplog.records if hasattr(r, "rung")]
     rungs = [r.rung for r in records]
     assert [(r["cavity_cutoff"], r["dimension"]) for r in rungs] == [(1, 54), (3, 108),
@@ -632,6 +664,16 @@ def test_stochastic_drive_breaks_factoring():
     with pytest.raises(ParameterError, match="commute"):
         liouville.stochastic_dephasing_check(gen, n_op, 0.5, rho0, t_end=0.2,
                                              n_traj=32, seed=9)
+
+
+def test_stochastic_refuses_a_propagation_beyond_its_budget():
+    gen, n_op, rho0 = _decaying_cavity()                      # ||gen||_1 = 36
+    start = time.perf_counter()
+    for t_end in (1e300, 1.01e4 / 36.0):
+        with pytest.raises(BudgetError, match="t_end"):
+            liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0, t_end=t_end,
+                                                 n_traj=4, seed=1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stochastic_rejects_bad_input():

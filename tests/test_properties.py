@@ -9,7 +9,8 @@ moment solve, the symmetry-reduced moments must match the per-emitter ones
 for up to three emitters, the flux identity and the height bound must hold,
 and a parameter record must survive the JSON round trip.  On small
 truncated spaces, the sector-preconditioned steady state of the
-density-matrix oracle must match the direct LU, and the stochastic
+density-matrix oracle, on its own and solved over the orbits of identical
+emitters, must match the direct LU, and the stochastic
 dephasing check without diffusion must be exact at any time, seed and
 trajectory count, and with diffusion must equal the two-propagation
 reference, the Lindblad generator evolved on its own.
@@ -189,6 +190,30 @@ def test_sector_steady_state_matches_direct(space, tau_indiv, tau_common, tau_ji
     # every dimension above the limit: the sector path, or its fallback
     with mock.patch.object(liouville, "_DIRECT_SOLVE_LIMIT", 0):
         swept = liouville.steady_state(gen, space.dims).rho
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+SYMMETRIC_SPACES = (SpaceSpec(2, 2, "two_level"), SpaceSpec(1, 3, "two_level"),
+                    SpaceSpec(2, 3, "two_level"), SpaceSpec(1, 2, atom_cutoff=2))
+
+
+@given(space=st.sampled_from(SYMMETRIC_SPACES), g=_gate_rate, kappa1=_gate_rate,
+       kappa2=_gate_rate, gamma_par=_gate_rate, omega_c=st.floats(-5.0, 5.0),
+       omega_a=st.floats(-5.0, 5.0), tau_indiv=_gate_rate.map(lambda rate: 1.0 / rate),
+       tau_common=_gate_rate.map(lambda rate: 1.0 / rate),
+       beta=st.complex_numbers(max_magnitude=1.0))
+def test_sector_solve_on_emitter_orbits_matches_direct(space, **fields):
+    # identical emitters with individual and common dephasing: one unknown
+    # per cavity entry and multiset of emitter (ket, bra) level pairs
+    p = SystemParams(n_atoms=space.n_atoms, **fields)
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    record = liouville._SolveRecord("sector", space.dimension)
+    swept = liouville._sector_steady(gen, space.dims, record)
+    direct = liouville._direct_steady(gen, space.dimension)
+    pairs = space.atom_dim ** 2
+    assert record.unknowns == ((space.cavity_cutoff + 1) ** 2
+                               * math.comb(space.n_atoms + pairs - 1, space.n_atoms))
+    assert liouville._residual(gen, swept) <= 1e-14
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
