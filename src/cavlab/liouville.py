@@ -11,6 +11,8 @@ leaves the generator unchanged, so the number operator of a two-level
 emitter gives the same dynamics as sigma_z/2.
 
 Density matrices are vectorized row-major, vec(A rho B) = (A kron B^T) vec(rho).
+The generator is assembled in one pass from the effective Hamiltonian
+H_eff = H - (i/2) sum_c c^dagger c: one kron per jump c plus two for H_eff.
 Steady states come from the generator with one row replaced by the trace
 constraint.  Up to Hilbert dimension 32, and for a single mode at any size,
 that system is solved by sparse LU.  Above it, restarted GMRES solves it,
@@ -26,8 +28,8 @@ once per scan, and the probe coherences, factored per point; block
 Gauss-Seidel sweeps between the two solve each point, and a point whose
 sweeps do not reach a residual of 1e-14 is solved directly.  Every block is
 the size of the system without the probe, which must pass the LU's size rule.
-Every steady_state call, and every rung of the cavity-cutoff scan, logs what
-it did at DEBUG level on this module's logger.
+Every generator build, steady_state call and rung of the cavity-cutoff scan
+logs what it did at DEBUG level on this module's logger.
 The overall Hilbert-space dimension is capped by a budget, overridable
 through the CAVLAB_BUDGET environment variable.
 """
@@ -168,11 +170,17 @@ def _destroy(dim: int) -> sp.csr_matrix:
 
 
 def _embed(op: sp.spmatrix, site: int, dims: tuple[int, ...]) -> sp.csr_matrix:
-    mat = sp.identity(1, format="csr", dtype=complex)
-    for k, d in enumerate(dims):
-        blk = op if k == site else sp.identity(d, format="csr", dtype=complex)
-        mat = sp.kron(mat, blk, format="csr")
-    return mat
+    """identity x op x identity with op on the given site: entry (k, m) of op
+    goes to ((l d + k) right + r, (l d + m) right + r) for every index l of
+    the sites before it and r of the sites after it."""
+    d, left, right = dims[site], math.prod(dims[:site]), math.prod(dims[site + 1:])
+    coo = sp.coo_matrix(op)
+    outer = np.arange(left, dtype=np.int32)[:, None, None] * d
+    rows, cols = ((outer + index[:, None]) * right + np.arange(right, dtype=np.int32)
+                  for index in (coo.row, coo.col))
+    data = np.broadcast_to(coo.data[:, None], rows.shape).astype(complex)
+    return sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(left * d * right,) * 2)
 
 
 def cavity_annihilation(space: SpaceSpec) -> sp.csr_matrix:
@@ -230,33 +238,33 @@ def _jump_operators(params: SystemParams, space: SpaceSpec) -> list[sp.csr_matri
     return [op.tocsr() for op in ops]
 
 
-def _hamiltonian_superop(h: sp.spmatrix) -> sp.csr_matrix:
-    """-i [H, .] in vectorized form."""
-    dim = h.shape[0]
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    return (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
-
-
-def _dissipator_superop(c: sp.spmatrix) -> sp.csr_matrix:
-    dim = c.shape[0]
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    cdc = (c.conj().T @ c).tocsr()
-    out = sp.kron(c, c.conj()) - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
-    return out.tocsr()
-
-
 def build_liouvillian(params: SystemParams, omega_l: float, space: SpaceSpec,
                       extra_hamiltonian: sp.spmatrix | None = None,
                       extra_jumps: tuple[sp.spmatrix, ...] = ()) -> sp.csr_matrix:
-    """Sparse generator of the master equation on the vectorized state."""
+    """Sparse generator of the master equation on the vectorized state,
+    -i H_eff x 1 + i 1 x conj(H_eff) + sum_c c x conj(c) with
+    H_eff = H - (i/2) sum_c c^dagger c, its terms summed in one conversion to
+    CSR.  Logs the dimension, jump count, nnz and seconds at DEBUG level."""
+    start = time.perf_counter()
     space.check_budget()
     h = _build_hamiltonian(params, omega_l, space)
     if extra_hamiltonian is not None:
-        h = (h + extra_hamiltonian).tocsr()
-    gen = _hamiltonian_superop(h)
-    for c in list(_jump_operators(params, space)) + list(extra_jumps):
-        gen = gen + _dissipator_superop(c)
-    return gen.tocsr()
+        h = h + extra_hamiltonian
+    jumps = _jump_operators(params, space) + list(extra_jumps)
+    h_eff = h - 0.5j * sum(c.conj().T @ c for c in jumps)
+    ident = sp.identity(space.dimension, dtype=complex, format="coo")
+    terms = [sp.kron(-1j * h_eff, ident, format="coo"),
+             sp.kron(ident, 1j * h_eff.conj(), format="coo")]
+    terms += [sp.kron(c, c.conj(), format="coo") for c in jumps]
+    data, rows, cols = (np.concatenate([getattr(t, k) for t in terms])
+                        for k in ("data", "row", "col"))
+    gen = sp.csr_matrix((data, (rows, cols)), shape=terms[0].shape)
+    gen.eliminate_zeros()
+    build = dict(dimension=space.dimension, jumps=len(jumps), nnz=gen.nnz,
+                 seconds=time.perf_counter() - start)
+    _log.debug("build_liouvillian: dimension %(dimension)d, %(jumps)d jumps, "
+               "nnz %(nnz)d, %(seconds).3f s", build, extra={"build": build})
+    return gen
 
 
 @dataclass
@@ -791,7 +799,7 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         extra_hamiltonian=coupling,
         extra_jumps=(math.sqrt(2.0 * kappa_p) * a_p,),
     )
-    gen_detune = _hamiltonian_superop(n_p)
+    gen_detune = sp.diags(-1j * np.subtract.outer(n_p.diagonal(), n_p.diagonal()).ravel())
 
     density = np.empty(grid.size)
     worst_backaction = 0.0
@@ -893,7 +901,8 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
 
 def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
                                diffusion: float, initial: np.ndarray,
-                               t_end: float, n_traj: int, seed: int) -> float:
+                               t_end: float, n_traj: int | list[int],
+                               seed: int | list[int]) -> float | np.ndarray:
     """Trace distance between the average of trajectories with white-noise
     phase kicks and the Lindblad evolution with jump sqrt(diffusion) * operator.
 
@@ -906,6 +915,8 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
     The Lindblad reference is that evolution times exp(-diffusion t_end delta**2 / 2).
     The evolution costs about ||gen||_1 * t_end products with the generator;
     above _PROPAGATION_BUDGET the check raises BudgetError before it.
+    n_traj and seed may be equal-length sequences: one draw per pair, all on
+    the one evolution, and an array of one trace distance per draw.
     """
     op = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
     gen = sp.csr_matrix(deterministic_gen)
@@ -920,10 +931,12 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
             "stochastic_dephasing_check: operator must be Hermitian and diagonal")
     if not 0.0 <= diffusion < math.inf:
         raise ParameterError("stochastic_dephasing_check: diffusion must be finite and >= 0")
-    if not 0.0 < t_end < math.inf or n_traj < 1:
-        raise ParameterError(
-            "stochastic_dephasing_check: need finite t_end > 0 and n_traj >= 1")
-    if seed < 0:
+    n_trajs, seeds = np.ravel(n_traj).tolist(), np.ravel(seed).tolist()
+    if (not 0.0 < t_end < math.inf or np.shape(n_traj) != np.shape(seed)
+            or min(n_trajs, default=0) < 1):
+        raise ParameterError("stochastic_dephasing_check: need finite t_end > 0 and "
+                             "n_traj >= 1, with one seed per n_traj")
+    if min(seeds) < 0:
         raise ParameterError("stochastic_dephasing_check: seed must be >= 0")
     if dim > 48:
         raise BudgetError("stochastic_dephasing_check: dimension above dense budget")
@@ -947,11 +960,15 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
         raise ParameterError(
             "stochastic_dephasing_check: the kick does not commute with the generator")
 
-    wiener = np.random.default_rng(seed).standard_normal(n_traj) * math.sqrt(t_end)
-    slopes, labels = np.unique(np.abs(deltas), return_inverse=True)
-    phase = np.exp(-1j * math.sqrt(diffusion) * np.outer(wiener, slopes)).mean(axis=0)[labels]
-    kick = np.where(deltas < 0, phase.conj(), phase)      # -delta kicks by the conjugate
     u = expm_multiply(gen * t_end, v0)
-    diff = (u * (kick - np.exp(-0.5 * diffusion * t_end * deltas ** 2))).reshape(dim, dim)
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    lindblad = np.exp(-0.5 * diffusion * t_end * deltas ** 2)
+    slopes, labels = np.unique(np.abs(deltas), return_inverse=True)
+    distances = []
+    for n, s in zip(n_trajs, seeds):
+        wiener = np.random.default_rng(s).standard_normal(n) * math.sqrt(t_end)
+        angles = math.sqrt(diffusion) * np.outer(wiener, slopes)
+        phase = (np.cos(angles).mean(axis=0) - 1j * np.sin(angles).mean(axis=0))[labels]
+        kick = np.where(deltas < 0, phase.conj(), phase)      # -delta kicks by the conjugate
+        diff = (u * (kick - lindblad)).reshape(dim, dim)
+        distances.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+    return np.array(distances) if np.ndim(n_traj) else float(distances[0])

@@ -300,16 +300,14 @@ def check_stochastic_dephasing(seed: int) -> CheckResult:
     amp = liouville.coherent_vector(2.0, space.dimension)
     rho0 = np.outer(amp, amp.conj())
 
-    main = liouville.stochastic_dephasing_check(
-        gen, n_op, 2.0, rho0, t_end=1.0, n_traj=10000, seed=seed)
-
+    # one evolution for every draw: 1e4 trajectories, then 8 seeds per size
     sizes = (1000, 4000, 16000)
-    means = []
-    for n in sizes:
-        runs = [liouville.stochastic_dephasing_check(
-                    gen, n_op, 2.0, rho0, t_end=1.0, n_traj=n, seed=seed + 7 * n + k)
-                for k in range(8)]
-        means.append(float(np.mean(runs)))
+    n_traj = [10000] + [n for n in sizes for _ in range(8)]
+    seeds = [seed] + [seed + 7 * n + k for n in sizes for k in range(8)]
+    distances = liouville.stochastic_dephasing_check(
+        gen, n_op, 2.0, rho0, t_end=1.0, n_traj=n_traj, seed=seeds)
+    main = float(distances[0])
+    means = [float(np.mean(runs)) for runs in distances[1:].reshape(len(sizes), 8)]
     slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
 
     ok = main < 0.03 and abs(slope + 0.5) < 0.15

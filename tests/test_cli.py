@@ -395,10 +395,13 @@ def test_verbose_logs_every_solve_to_stderr_and_leaves_stdout_alone(tmp_path, ca
     verbose = capsys.readouterr()
     assert verbose.out == quiet.out and quiet.err == ""
     lines = verbose.err.splitlines()
+    # cavity leak, two emitter decays and two individual dephasings
+    assert lines[0].startswith("cavlab.liouville: build_liouvillian: dimension 48, "
+                               "5 jumps, nnz 21279, ")
     # dimension 48: 3**2 cavity entries times 136 multisets of two emitter level pairs
-    assert lines[0].startswith("cavlab.liouville: steady_state sector: dimension 48, "
+    assert lines[1].startswith("cavlab.liouville: steady_state sector: dimension 48, "
                                "17 sectors, 1224 unknowns, ")
-    assert lines[1].startswith("cavlab.liouville: converged_moment_state rung: "
+    assert lines[2].startswith("cavlab.liouville: converged_moment_state rung: "
                                "cavity cutoff 2, dimension 48")
     assert logging.getLogger("cavlab").handlers == []
     assert cli.main(argv) == 0 and capsys.readouterr().err == ""

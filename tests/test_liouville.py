@@ -76,6 +76,40 @@ def test_budget_env_override(monkeypatch):
 
 # --- generator properties -----------------------------------------------------
 
+def _kron_chain_embed(op, site, dims):
+    """identity x op x identity by a chain of krons with identities."""
+    mat = sp.identity(1, format="csr", dtype=complex)
+    for k, d in enumerate(dims):
+        mat = sp.kron(mat, op if k == site else sp.identity(d, dtype=complex), format="csr")
+    return mat
+
+
+def _hamiltonian_superop(h):
+    """-i [H, .] in vectorized form."""
+    ident = sp.identity(h.shape[0], format="csr", dtype=complex)
+    return (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
+
+
+def _dissipator_superop(c):
+    ident = sp.identity(c.shape[0], format="csr", dtype=complex)
+    cdc = (c.conj().T @ c).tocsr()
+    out = sp.kron(c, c.conj()) - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
+    return out.tocsr()
+
+
+def _kron_chain_liouvillian(params, omega_l, space, extra_hamiltonian=None,
+                            extra_jumps=()):
+    """The generator as the commutator superoperator of H plus one full
+    dissipator superoperator per jump, each formed by krons."""
+    h = liouville._build_hamiltonian(params, omega_l, space)
+    if extra_hamiltonian is not None:
+        h = (h + extra_hamiltonian).tocsr()
+    gen = _hamiltonian_superop(h)
+    for c in list(liouville._jump_operators(params, space)) + list(extra_jumps):
+        gen = gen + _dissipator_superop(c)
+    return gen.tocsr()
+
+
 def test_generator_preserves_trace():
     p = _params(tau_indiv=0.5, tau_common=2.0, tau_jitter=3.0)
     space = SpaceSpec(cavity_cutoff=3, n_atoms=1, atom_cutoff=2)
@@ -182,7 +216,7 @@ def test_two_level_equals_hp_at_cutoff_one():
     # because a constant shift leaves a Hermitian jump's dissipator unchanged
     number = sp.csr_matrix(np.diag([0.0, 1.0]).astype(complex))
     shifted = sp.csr_matrix(np.diag([-0.5, 0.5]).astype(complex))
-    gap = liouville._dissipator_superop(shifted) - liouville._dissipator_superop(number)
+    gap = _dissipator_superop(shifted) - _dissipator_superop(number)
     assert np.max(np.abs(gap.toarray())) <= 1e-15
     p = _params(n_atoms=2, tau_indiv=0.7, tau_common=1.4, beta=0.3)
     sp_tl = SpaceSpec(cavity_cutoff=4, n_atoms=2, atom_model="two_level")
@@ -343,16 +377,26 @@ def test_every_solve_logs_one_record(caplog):
     small = SpaceSpec(cavity_cutoff=5, n_atoms=1, atom_cutoff=2)             # dim 18
     large = SpaceSpec(cavity_cutoff=20, n_atoms=1, atom_cutoff=3)            # dim 84
     p = _params(beta=1.0, tau_indiv=1.0 / 3.0)
+    nnz = []
     for space in (small, large):
-        liouville.steady_state(liouville.build_liouvillian(p, 0.0, space), space.dims)
-    direct, sector = [r.solve for r in caplog.records]
+        gen = liouville.build_liouvillian(p, 0.0, space)
+        nnz.append(gen.nnz)
+        liouville.steady_state(gen, space.dims)
+    builds = [r.build for r in caplog.records[::2]]
+    direct, sector = [r.solve for r in caplog.records[1::2]]
+    # cavity leak, emitter decay and individual dephasing
+    assert [(b["dimension"], b["jumps"], b["nnz"]) for b in builds] == [(18, 3, nnz[0]),
+                                                                      (84, 3, nnz[1])]
+    assert all(b["seconds"] > 0.0 for b in builds)
     assert (direct.method, direct.dimension, direct.sectors) == ("direct", 18, 1)
     assert direct.largest_block == 18 ** 2 and direct.iterations == 0
     assert (sector.method, sector.dimension, sector.sectors) == ("sector", 84, 47)
     assert sector.largest_block < 84 ** 2 and sector.iterations > 0
     for record in (direct, sector):
         assert record.fill > 0 and record.residual <= 1e-14 and record.seconds > 0.0
-    assert caplog.records[1].getMessage().startswith("steady_state sector: dimension 84, 47 sectors")
+    assert caplog.records[3].getMessage().startswith("steady_state sector: dimension 84, 47 sectors")
+    assert caplog.records[2].getMessage() == (
+        f"build_liouvillian: dimension 84, 3 jumps, nnz {nnz[1]}, {builds[1]['seconds']:.3f} s")
 
 
 def test_steady_state_rejects_bad_input():
@@ -674,6 +718,35 @@ def test_stochastic_refuses_a_propagation_beyond_its_budget():
             liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0, t_end=t_end,
                                                  n_traj=4, seed=1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_stochastic_draws_share_one_evolution():
+    # several (n_traj, seed) draws in one call give what one call per draw gives
+    gen, n_op, rho0 = _decaying_cavity()
+    n_traj, seeds = [1, 500, 2000, 500], [3, 0, 77, 2 ** 40]
+    batch = liouville.stochastic_dephasing_check(gen, n_op, 2.0, rho0, t_end=1.0,
+                                                 n_traj=n_traj, seed=seeds)
+    single = [liouville.stochastic_dephasing_check(gen, n_op, 2.0, rho0, t_end=1.0,
+                                                   n_traj=n, seed=s)
+              for n, s in zip(n_traj, seeds)]
+    assert batch.shape == (4,) and all(isinstance(d, float) for d in single)
+    assert np.max(np.abs(batch - single)) <= 1e-15
+
+
+def test_stochastic_checks_every_draw_before_the_evolution(monkeypatch):
+    gen, n_op, rho0 = _decaying_cavity()
+
+    def never(*args, **kwargs):
+        raise AssertionError("propagated before checking every draw")
+
+    monkeypatch.setattr(liouville, "expm_multiply", never)
+    for n_traj, seeds, match in (([100, 0], [1, 2], "n_traj"),
+                                 ([100, 100], [1, -1], "seed"),
+                                 ([100, 100], [1], "one seed per n_traj"),
+                                 ([], [], "n_traj")):
+        with pytest.raises(ParameterError, match=match):
+            liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0, t_end=0.1,
+                                                 n_traj=n_traj, seed=seeds)
 
 
 def test_stochastic_rejects_bad_input():

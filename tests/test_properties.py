@@ -8,8 +8,8 @@ hold on every draw.  Over rates 1e-4..1e4 the closed forms must match the
 moment solve, the symmetry-reduced moments must match the per-emitter ones
 for up to three emitters, the flux identity and the height bound must hold,
 and a parameter record must survive the JSON round trip.  On small
-truncated spaces, the sector-preconditioned steady state of the
-density-matrix oracle, on its own and solved over the orbits of identical
+truncated spaces, the one-pass generator of the density-matrix oracle must
+equal the kron-chain reference, the sector-preconditioned steady state, on its own and solved over the orbits of identical
 emitters, must match the direct LU, and the stochastic
 dephasing check without diffusion must be exact at any time, seed and
 trajectory count, and with diffusion must equal the two-propagation
@@ -27,6 +27,7 @@ from scipy.sparse.linalg import expm_multiply
 from cavlab import analytic, liouville, moments
 from cavlab.liouville import SpaceSpec
 from cavlab.model import SystemParams, params_from_json, params_to_dict
+from test_liouville import _kron_chain_embed, _kron_chain_liouvillian
 from test_moments import _per_atom_steady_state
 
 pytest.importorskip("hypothesis")
@@ -174,6 +175,44 @@ _gate_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 _gate_time = st.one_of(st.none(), _gate_rate.map(lambda rate: 1.0 / rate))
 SMALL_SPACES = (SpaceSpec(5, 1, "two_level"), SpaceSpec(4, 1, atom_cutoff=2),
                 SpaceSpec(3, 2, "two_level"), SpaceSpec(2, 2, atom_cutoff=2))
+
+
+@st.composite
+def truncated_spaces(draw) -> SpaceSpec:
+    """hp (one or two quanta) or two-level emitters, N = 0-3, cavity cutoff
+    1-6, with or without the probe mode: at most 378 states."""
+    return SpaceSpec(cavity_cutoff=draw(st.integers(1, 6)), n_atoms=draw(st.integers(0, 3)),
+                     atom_model=draw(st.sampled_from(("hp", "two_level"))),
+                     atom_cutoff=draw(st.integers(1, 2)), probe_enabled=draw(st.booleans()))
+
+
+@given(space=truncated_spaces(), probe_terms=st.booleans(), g=_gate_rate,
+       kappa1=_gate_rate, kappa2=_gate_rate, gamma_par=_gate_rate,
+       omega_c=st.floats(-5.0, 5.0), omega_a=st.floats(-5.0, 5.0),
+       omega_l=st.floats(-5.0, 5.0), tau_indiv=_gate_time, tau_common=_gate_time,
+       tau_jitter=_gate_time, beta=st.complex_numbers(max_magnitude=2.0))
+def test_one_pass_generator_equals_kron_chain(space, probe_terms, omega_l, tau_indiv,
+                                              tau_common, tau_jitter, **fields):
+    # H_eff x 1, 1 x conj(H_eff) and c x conj(c) summed once, against the
+    # commutator plus one full dissipator per jump; the embedded operators
+    # themselves are exact
+    times = dict(tau_indiv=tau_indiv, tau_common=tau_common, tau_jitter=tau_jitter)
+    p = SystemParams(n_atoms=space.n_atoms, **fields,
+                     **{key: value or math.inf for key, value in times.items()})
+    extras = {}
+    if space.probe_enabled and probe_terms:
+        a_p = liouville.probe_lowering(space)
+        a_c = liouville.cavity_annihilation(space)
+        extras = dict(extra_hamiltonian=0.02 * (a_c.conj().T @ a_p + a_c @ a_p.conj().T),
+                      extra_jumps=(math.sqrt(0.02) * a_p,))
+    gen = liouville.build_liouvillian(p, omega_l, space, **extras)
+    ref = _kron_chain_liouvillian(p, omega_l, space, **extras)
+    assert abs(gen - ref).max() <= 1e-14 * abs(ref).max()
+    rng = np.random.default_rng(space.dimension)
+    for site, d in enumerate(space.dims):
+        op = sp.csr_matrix(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        assert (liouville._embed(op, site, space.dims)
+                != _kron_chain_embed(op, site, space.dims)).nnz == 0
 
 
 @given(space=st.sampled_from(SMALL_SPACES), g=_gate_rate, kappa1=_gate_rate,
