@@ -1,37 +1,46 @@
 """Brute-force oracle on a truncated Hilbert space.
 
 Everything here works on the full density matrix of the composite system
-cavity x emitters (x probe).  Every emitter is a ladder truncated at
-``SpaceSpec.atom_dim`` levels: population decay jumps through its lowering
-operator, and the detuning and both dephasing channels couple through its
-number operator.  An ``hp`` emitter (bosonic, the regime of the closed forms)
-keeps ``atom_cutoff`` quanta; a ``two_level`` emitter is the same ladder
-with one quantum.  A constant shift of H or of a Hermitian jump operator
-leaves the generator unchanged, so the number operator of a two-level
-emitter gives the same dynamics as sigma_z/2.
+cavity x emitters (x probe), one site each.  Every emitter is a ladder
+truncated at ``SpaceSpec.atom_dim`` levels: an ``hp`` emitter (bosonic, the
+regime of the closed forms) keeps ``atom_cutoff`` quanta, a ``two_level``
+emitter one.  A constant shift of H or of a Hermitian jump operator leaves
+the generator unchanged, so the number operator of a two-level emitter
+gives the same dynamics as sigma_z/2.
 
-Density matrices are vectorized row-major, vec(A rho B) = (A kron B^T) vec(rho).
-The generator is assembled in one pass from the effective Hamiltonian
-H_eff = H - (i/2) sum_c c^dagger c: one kron per jump c plus two for H_eff.
-Steady states come from the generator with one row replaced by the trace
-constraint.  Up to Hilbert dimension 32, and for a single mode at any size,
-that system is solved by sparse LU.  Above it, restarted GMRES solves it,
-preconditioned by a block Gauss-Seidel sweep over excitation sectors: every
-term but the cavity drive conserves the ket's minus the bra's excitations,
-so the sector blocks are coupled only weakly.  That solve has one unknown
-per orbit of the emitter permutations the generator commutes with, since
-identical emitters have a permutation-invariant steady state.  A solve that
-stalls above a residual of 1e-14 of the full generator falls back to the LU.
-The weak-probe spectrum splits the constrained system into the probe
-populations, which do not depend on the probe detuning and are factored
-once per scan, and the probe coherences, factored per point; block
-Gauss-Seidel sweeps between the two solve each point, and a point whose
-sweeps do not reach a residual of 1e-14 is solved directly.  Every block is
-the size of the system without the probe, which must pass the LU's size rule.
+Operators.  One table, _levels, holds the level of every site in every
+composite basis state.  A number operator is the diagonal of its site's row;
+a lowering operator shifts the basis index by the product of the later
+dims.  The emitters couple to the cavity through the collective lowering
+operator L = sum_j l_j, as g (L^dagger a + L a^dagger).
+
+Build.  Density matrices are vectorized row-major,
+vec(A rho B) = (A kron B^T) vec(rho).  The generator is assembled in one pass
+from H_eff = H - (i/2) sum_c c^dagger c: one kron per jump c plus two for
+H_eff, summed in one conversion to CSR.
+
+Steady states.  The generator with one row replaced by the trace
+constraint is solved by sparse LU up to Hilbert dimension 32, and for a
+single mode at any size.  Above it, restarted GMRES solves it on one unknown
+per orbit of the emitter permutations the generator commutes with,
+preconditioned by a block Gauss-Seidel sweep over excitation sectors (every
+term but the cavity drive conserves the ket's minus the bra's quanta).  A
+solve that stalls above a residual of 1e-14 falls back to the LU.
+
+Probe.  The weak-probe spectrum splits the constrained system into the
+probe populations, factored once per scan, and the probe coherences,
+factored per point; block Gauss-Seidel sweeps solve each point, and a point
+whose sweeps stall above a residual of 1e-14 is solved directly.  The space
+without the probe must pass the LU's size rule.
+
+Wigner.  The exact Fock-basis (Laguerre) recurrence along each diagonal.
+
+Stochastic check.  Trajectories of commuting number-operator noise against
+the dephasing channel, on one propagation.
+
 Every generator build, steady_state call and rung of the cavity-cutoff scan
-logs what it did at DEBUG level on this module's logger.
-The overall Hilbert-space dimension is capped by a budget, overridable
-through the CAVLAB_BUDGET environment variable.
+logs what it did at DEBUG level on this module's logger.  The Hilbert-space
+dimension is capped by a budget, overridable through CAVLAB_BUDGET.
 """
 from __future__ import annotations
 
@@ -165,77 +174,51 @@ class SpaceSpec:
         return self
 
 
-def _destroy(dim: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr").astype(complex)
+def _levels(dims: tuple[int, ...]) -> np.ndarray:
+    """Level of every site in every composite basis state, one row per site:
+    the diagonal of that site's number operator.  Float, as sp.diags wants."""
+    return np.indices(dims, dtype=float).reshape(len(dims), -1)
 
 
-def _embed(op: sp.spmatrix, site: int, dims: tuple[int, ...]) -> sp.csr_matrix:
-    """identity x op x identity with op on the given site: entry (k, m) of op
-    goes to ((l d + k) right + r, (l d + m) right + r) for every index l of
-    the sites before it and r of the sites after it."""
-    d, left, right = dims[site], math.prod(dims[:site]), math.prod(dims[site + 1:])
-    coo = sp.coo_matrix(op)
-    outer = np.arange(left, dtype=np.int32)[:, None, None] * d
-    rows, cols = ((outer + index[:, None]) * right + np.arange(right, dtype=np.int32)
-                  for index in (coo.row, coo.col))
-    data = np.broadcast_to(coo.data[:, None], rows.shape).astype(complex)
-    return sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(left * d * right,) * 2)
+def _lowering(dims: tuple[int, ...], site: int) -> sp.csr_matrix:
+    """Lowering operator of one site: a basis state holding level n > 0 there
+    goes to sqrt(n) times the state whose index is smaller by the product of
+    the later dims."""
+    stride = math.prod(dims[site + 1:])
+    return sp.diags(np.sqrt(_levels(dims)[site, stride:]) + 0j, stride, format="csr")
 
 
-def cavity_annihilation(space: SpaceSpec) -> sp.csr_matrix:
-    return _embed(_destroy(space.cavity_cutoff + 1), 0, space.dims)
+def _system_operators(params: SystemParams, omega_l: float, space: SpaceSpec
+                      ) -> tuple[sp.csr_matrix, list[sp.csr_matrix]]:
+    """System Hamiltonian in the frame rotating at the drive frequency, and
+    the collapse operators: cavity leak, cavity jitter, per-emitter decay and
+    dephasing, collective dephasing (present only when the rate is nonzero).
 
-
-def atom_lowering(space: SpaceSpec, j: int) -> sp.csr_matrix:
-    return _embed(_destroy(space.atom_dim), 1 + j, space.dims)
-
-
-def atom_number(space: SpaceSpec, j: int) -> sp.csr_matrix:
-    op = sp.diags(np.arange(space.atom_dim, dtype=float), 0, format="csr").astype(complex)
-    return _embed(op, 1 + j, space.dims)
-
-
-def probe_lowering(space: SpaceSpec) -> sp.csr_matrix:
-    if not space.probe_enabled:
-        raise ParameterError("probe_lowering: space has no probe mode")
-    return _embed(_destroy(2), len(space.dims) - 1, space.dims)
-
-
-def _build_hamiltonian(params: SystemParams, omega_l: float,
-                       space: SpaceSpec) -> sp.csr_matrix:
-    """System Hamiltonian in the frame rotating at the drive frequency."""
+    The emitters couple to the cavity through their collective lowering
+    operator L = sum_j l_j, as g (L^dagger a + L a^dagger)."""
     if space.n_atoms != params.n_atoms:
         raise ParameterError("build_liouvillian: space.n_atoms != params.n_atoms")
-    delta_c = params.omega_c - omega_l
-    delta_a = params.omega_a - omega_l
-    a_c = cavity_annihilation(space)
-    h = delta_c * (a_c.conj().T @ a_c)
+    dims, emitters = space.dims, range(1, 1 + params.n_atoms)
+    levels = _levels(dims)
+    a = _lowering(dims, 0)
+    lows = [_lowering(dims, s) for s in emitters]
+    collective = sum(lows, sp.csr_matrix(a.shape, dtype=complex))
+    excitations = levels[1:1 + params.n_atoms].sum(axis=0)
     drive = math.sqrt(2.0 * params.kappa1) * params.beta
-    h = h + 1j * (drive * a_c.conj().T - np.conj(drive) * a_c)
-    for j in range(params.n_atoms):
-        low = atom_lowering(space, j)
-        h = h + delta_a * (low.conj().T @ low)
-        h = h + params.g * (low.conj().T @ a_c + low @ a_c.conj().T)
-    return h.tocsr()
-
-
-def _jump_operators(params: SystemParams, space: SpaceSpec) -> list[sp.csr_matrix]:
-    """Collapse operators: cavity leak, cavity jitter, per-emitter decay and
-    dephasing, collective dephasing (present only when the rate is nonzero)."""
-    ops = [math.sqrt(2.0 * params.kappa) * cavity_annihilation(space)]
+    h = (sp.diags((params.omega_c - omega_l) * levels[0]
+                  + (params.omega_a - omega_l) * excitations)
+         + 1j * (drive * a.conj().T - np.conj(drive) * a)
+         + params.g * (collective.conj().T @ a + collective @ a.conj().T))
+    jumps = [math.sqrt(2.0 * params.kappa) * a]
     if params.inv_tau_jitter > 0.0:
-        a_c = cavity_annihilation(space)
-        ops.append(math.sqrt(2.0 * params.inv_tau_jitter) * (a_c.conj().T @ a_c))
-    for j in range(params.n_atoms):
-        ops.append(math.sqrt(params.gamma_par) * atom_lowering(space, j))
+        jumps.append(sp.diags(math.sqrt(2.0 * params.inv_tau_jitter) * levels[0]))
+    jumps += [math.sqrt(params.gamma_par) * low for low in lows]
     if params.inv_tau_indiv > 0.0:
-        for j in range(params.n_atoms):
-            ops.append(math.sqrt(2.0 * params.inv_tau_indiv) * atom_number(space, j))
+        jumps += [sp.diags(math.sqrt(2.0 * params.inv_tau_indiv) * levels[s])
+                  for s in emitters]
     if params.inv_tau_common > 0.0 and params.n_atoms > 0:
-        total = sum(atom_number(space, j) for j in range(params.n_atoms))
-        ops.append(math.sqrt(2.0 * params.inv_tau_common) * total)
-    return [op.tocsr() for op in ops]
+        jumps.append(sp.diags(math.sqrt(2.0 * params.inv_tau_common) * excitations))
+    return h.tocsr(), [c.tocsr() for c in jumps]
 
 
 def build_liouvillian(params: SystemParams, omega_l: float, space: SpaceSpec,
@@ -247,10 +230,10 @@ def build_liouvillian(params: SystemParams, omega_l: float, space: SpaceSpec,
     CSR.  Logs the dimension, jump count, nnz and seconds at DEBUG level."""
     start = time.perf_counter()
     space.check_budget()
-    h = _build_hamiltonian(params, omega_l, space)
+    h, jumps = _system_operators(params, omega_l, space)
     if extra_hamiltonian is not None:
         h = h + extra_hamiltonian
-    jumps = _jump_operators(params, space) + list(extra_jumps)
+    jumps += list(extra_jumps)
     h_eff = h - 0.5j * sum(c.conj().T @ c for c in jumps)
     ident = sp.identity(space.dimension, dtype=complex, format="coo")
     terms = [sp.kron(-1j * h_eff, ident, format="coo"),
@@ -370,14 +353,6 @@ def _direct_steady(gen: sp.spmatrix, dim: int,
     return x
 
 
-def _excitations(dims: tuple[int, ...]) -> np.ndarray:
-    """Quanta in every composite basis state: the sum of its level indices."""
-    total = np.zeros(1, dtype=int)
-    for d in dims:
-        total = (total[:, None] + np.arange(d)).ravel()
-    return total
-
-
 def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
                    record: _SolveRecord) -> np.ndarray | None:
     """Steady state by restarted GMRES on the constrained generator over the
@@ -407,7 +382,7 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     gen = gen.tocsr()
     reps, labels = _permutation_orbits(gen, dims)
     expand = sp.csr_matrix((np.ones(labels.size), (np.arange(labels.size), labels)))
-    exc = _excitations(dims)
+    exc = _levels(dims).sum(axis=0)
     sector = (exc[:, None] - exc[None, :]).ravel()[reps]
     mirror = labels[np.arange(dim * dim).reshape(dim, dim).T.ravel()[reps]]
     a, b = _constrained(gen[reps] @ expand, _trace_row(dim) @ expand)
@@ -456,7 +431,7 @@ def _permutation_orbits(gen: sp.csr_matrix, dims: tuple[int, ...]
     """
     sites = len(dims)
     shape = dims + dims
-    digits = list(np.unravel_index(np.arange(int(np.prod(shape))), shape))
+    digits = list(_levels(shape).astype(np.intp))
     tol = _SYMMETRY_TOL * abs(gen).max()
     runs: list[list[int]] = []
     for s in range(1, sites - 1):
@@ -590,23 +565,21 @@ def steady_moment_state(params: SystemParams, omega_l: float,
     """Steady state plus its first/second moments folded into a MomentState."""
     gen = build_liouvillian(params, omega_l, space)
     state = steady_state(gen, space.dims)
-    a_c = cavity_annihilation(space)
-    s1 = expectation(state, a_c)
-    s3 = expectation(state, a_c.conj().T @ a_c).real
-    n = params.n_atoms
+    n, dims = params.n_atoms, space.dims
+    numbers = state.rho.diagonal().real @ _levels(dims).T     # <level> per site
+    a = _lowering(dims, 0)
+    s1 = expectation(state, a)
+    s3 = float(numbers[0])
     if n == 0:
         return MomentState(s1, 0j, s3, 0j, 0.0, 0.0), state
-    lows = [atom_lowering(space, j) for j in range(n)]
-    s2 = np.mean([expectation(state, low) for low in lows])
-    s4 = np.mean([expectation(state, a_c.conj().T @ low) for low in lows])
-    s5 = float(np.mean([expectation(state, low.conj().T @ low).real for low in lows]))
-    if n > 1:
-        pairs = [expectation(state, lows[k].conj().T @ lows[j])
-                 for k in range(n) for j in range(n) if k != j]
-        s6 = float(np.mean(pairs).real)
-    else:
-        s6 = 0.0
-    return MomentState(complex(s1), complex(s2), s3, complex(s4), s5, s6), state
+    collective = sum(_lowering(dims, s) for s in range(1, 1 + n))
+    s2 = expectation(state, collective) / n
+    s4 = expectation(state, a.conj().T @ collective) / n
+    s5 = float(numbers[1:1 + n].sum()) / n
+    # <L^dagger L> = n s5 + n (n - 1) s6
+    pairs = expectation(state, collective.conj().T @ collective).real - n * s5
+    s6 = pairs / (n * (n - 1)) if n > 1 else 0.0
+    return MomentState(s1, s2, s3, s4, s5, s6), state
 
 
 def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpec
@@ -740,9 +713,8 @@ def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray) -> WignerGrid:
 def wigner_grid_for_state(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     """Square 101 x 101 grid centered on the field amplitude, wide enough for
     the normalization check (about 5 standard deviations per quadrature)."""
-    a = _destroy(state.dims[0])
-    mean = expectation(state, a)
-    n_cav = expectation(state, a.conj().T @ a).real
+    mean = expectation(state, _lowering(state.dims, 0))
+    n_cav = float(state.rho.diagonal().real @ _levels(state.dims)[0])
     spread = math.sqrt(max(n_cav - abs(mean) ** 2, 0.0) + 0.5)
     half = abs(mean) + 5.0 * spread
     xs = np.linspace(-half, half, 101)
@@ -784,29 +756,25 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     space.check_budget()
     gen0 = build_liouvillian(params, omega_l, base)
     bare = steady_state(gen0, base.dims)
-    a_bare = cavity_annihilation(base)
-    mean_field = expectation(bare, a_bare)
-    photon_number = expectation(bare, a_bare.conj().T @ a_bare).real
+    mean_field = expectation(bare, _lowering(base.dims, 0))
+    photon_number = float(bare.rho.diagonal().real @ _levels(base.dims)[0])
     coherent_power = abs(mean_field) ** 2
 
     g_p = epsilon * kappa_p
-    a_p = probe_lowering(space)
-    a_c = cavity_annihilation(space)
-    n_p = (a_p.conj().T @ a_p).tocsr()
+    dims = space.dims
+    a_p, a_c = _lowering(dims, len(dims) - 1), _lowering(dims, 0)
     coupling = g_p * (a_c.conj().T @ a_p + a_c @ a_p.conj().T)
     gen_fixed = build_liouvillian(
         params, omega_l, space,
         extra_hamiltonian=coupling,
         extra_jumps=(math.sqrt(2.0 * kappa_p) * a_p,),
     )
-    gen_detune = sp.diags(-1j * np.subtract.outer(n_p.diagonal(), n_p.diagonal()).ravel())
 
     density = np.empty(grid.size)
     worst_backaction = 0.0
-    states = _probe_steady_states(gen_fixed, gen_detune, n_p, grid - omega_l,
-                                  space.dims)
-    for k, state in enumerate(states):
-        occupation = expectation(state, n_p).real
+    probe_level = _levels(dims)[-1]
+    for k, state in enumerate(_probe_steady_states(gen_fixed, grid - omega_l, dims)):
+        occupation = float(state.rho.diagonal().real @ probe_level)
         density[k] = occupation / (math.pi * kappa_p * epsilon ** 2)
         probe_amp = abs(expectation(state, a_p))
         if coherent_power > 0.0:
@@ -829,15 +797,15 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     )
 
 
-def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
-                         n_p: sp.spmatrix, deltas: np.ndarray,
+def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
                          dims: tuple[int, ...]):
-    """Steady state of gen_fixed + delta * gen_detune for every probe detuning.
+    """Steady state of gen_fixed - i delta [n_p, .] for every probe detuning,
+    n_p the number operator of the probe, the last site.
 
-    gen_detune, the superoperator of the probe number n_p, is diagonal and
-    nonzero exactly on the probe coherences (Q: rho_01 and rho_10); the probe
-    populations (P: rho_00, which holds the trace row, and rho_11) do not see
-    the detuning.  Only the weak probe coupling links P and Q, so the
+    -i [n_p, .] is diagonal, -i times the ket's minus the bra's probe level,
+    so nonzero exactly on the probe coherences (Q: rho_01 and rho_10); the
+    probe populations (P: rho_00, which holds the trace row, and rho_11) do
+    not see the detuning.  Only the weak probe coupling links P and Q, so the
     constrained system splits into a detuning-independent block A_PP,
     factored once per call, and A_QQ + delta diag(shift_Q), factored per
     point.  Block Gauss-Seidel sweeps x_P = A_PP^-1 (b_P - A_PQ x_Q),
@@ -857,11 +825,12 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
     rho_01 half of Q is solved and rho_10 is its mirror.
     """
     dim = int(np.prod(dims))
-    shift = gen_detune.diagonal()
-    excited = np.repeat(n_p.diagonal().real, dim) > 0.5    # probe excited in the row
-    blocks = [np.flatnonzero((shift == 0) & excited),
-              np.flatnonzero((shift == 0) & ~excited),
-              np.flatnonzero(shift.imag > 0)]                    # rho_01
+    probe = _levels(dims)[-1]
+    ket, bra = np.repeat(probe, dim), np.tile(probe, dim)
+    shift = -1j * (ket - bra)
+    blocks = [np.flatnonzero((ket == 1) & (bra == 1)),                 # rho_11
+              np.flatnonzero((ket == 0) & (bra == 0)),                 # rho_00
+              np.flatnonzero((ket == 0) & (bra == 1))]                 # rho_01
     mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()[blocks[2]]
     a, b = _constrained(gen_fixed, _trace_row(dim))
     a = a.tocsr()
@@ -873,7 +842,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, gen_detune: sp.spmatrix,
     except RuntimeError as exc:
         raise SingularSystemError(f"probe_spectrum: sparse LU failed: {exc}") from exc
     for delta in deltas:
-        gen = (gen_fixed + delta * gen_detune).tocsr()
+        gen = (gen_fixed + sp.diags(delta * shift)).tocsr()
         residual = np.inf
         try:
             lu_q = splu((diagonal[2] + sp.diags(delta * shift[blocks[2]])).tocsc())
@@ -938,8 +907,6 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
                              "n_traj >= 1, with one seed per n_traj")
     if min(seeds) < 0:
         raise ParameterError("stochastic_dephasing_check: seed must be >= 0")
-    if dim > 48:
-        raise BudgetError("stochastic_dephasing_check: dimension above dense budget")
     stiffness = spnorm(gen, 1) * t_end
     if stiffness > _PROPAGATION_BUDGET:
         raise BudgetError(

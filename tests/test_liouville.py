@@ -76,12 +76,46 @@ def test_budget_env_override(monkeypatch):
 
 # --- generator properties -----------------------------------------------------
 
+def _destroy(dim):
+    return sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr").astype(complex)
+
+
 def _kron_chain_embed(op, site, dims):
     """identity x op x identity by a chain of krons with identities."""
     mat = sp.identity(1, format="csr", dtype=complex)
     for k, d in enumerate(dims):
         mat = sp.kron(mat, op if k == site else sp.identity(d, dtype=complex), format="csr")
     return mat
+
+
+def _kron_chain_lowering(dims, site):
+    return _kron_chain_embed(_destroy(dims[site]), site, dims)
+
+
+def _kron_chain_operators(params, omega_l, space):
+    """H and the jumps term by term: kron-chain lowering operators, number
+    operators as products l^dagger l, one coupling term per emitter."""
+    a = _kron_chain_lowering(space.dims, 0)
+    lows = [_kron_chain_lowering(space.dims, s) for s in range(1, 1 + params.n_atoms)]
+
+    def number(op):
+        return op.conj().T @ op
+
+    drive = math.sqrt(2.0 * params.kappa1) * params.beta
+    h = (params.omega_c - omega_l) * number(a)
+    h = h + 1j * (drive * a.conj().T - np.conj(drive) * a)
+    for low in lows:
+        h = h + (params.omega_a - omega_l) * number(low)
+        h = h + params.g * (low.conj().T @ a + low @ a.conj().T)
+    jumps = [math.sqrt(2.0 * params.kappa) * a]
+    if params.inv_tau_jitter > 0.0:
+        jumps.append(math.sqrt(2.0 * params.inv_tau_jitter) * number(a))
+    jumps += [math.sqrt(params.gamma_par) * low for low in lows]
+    if params.inv_tau_indiv > 0.0:
+        jumps += [math.sqrt(2.0 * params.inv_tau_indiv) * number(low) for low in lows]
+    if params.inv_tau_common > 0.0 and lows:
+        jumps.append(math.sqrt(2.0 * params.inv_tau_common) * sum(number(low) for low in lows))
+    return h.tocsr(), jumps
 
 
 def _hamiltonian_superop(h):
@@ -101,11 +135,11 @@ def _kron_chain_liouvillian(params, omega_l, space, extra_hamiltonian=None,
                             extra_jumps=()):
     """The generator as the commutator superoperator of H plus one full
     dissipator superoperator per jump, each formed by krons."""
-    h = liouville._build_hamiltonian(params, omega_l, space)
+    h, jumps = _kron_chain_operators(params, omega_l, space)
     if extra_hamiltonian is not None:
         h = (h + extra_hamiltonian).tocsr()
     gen = _hamiltonian_superop(h)
-    for c in list(liouville._jump_operators(params, space)) + list(extra_jumps):
+    for c in jumps + list(extra_jumps):
         gen = gen + _dissipator_superop(c)
     return gen.tocsr()
 
@@ -140,7 +174,7 @@ def test_empty_driven_steady_state_is_coherent():
     gen = liouville.build_liouvillian(p, 0.0, space)
     state = liouville.steady_state(gen, space.dims)
     alpha = analytic.mean_field(p, 0.0)
-    a_c = liouville.cavity_annihilation(space)
+    a_c = _kron_chain_lowering(space.dims, 0)
     assert liouville.expectation(state, a_c) == pytest.approx(alpha, abs=1e-8)
     amp = liouville.coherent_vector(alpha, space.dimension)
     fidelity = float(np.real(amp.conj() @ state.rho @ amp))
@@ -208,6 +242,29 @@ def test_hp_oracle_matches_moment_oracle():
     ref = moments.steady_state(p, 0.2)
     scale = np.max(np.abs(ref.packed()))
     assert np.max(np.abs(mstate.packed() - ref.packed())) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("space", [
+    SpaceSpec(cavity_cutoff=2, n_atoms=3, atom_cutoff=2),                    # dim 81
+    SpaceSpec(cavity_cutoff=2, n_atoms=3, atom_model="two_level"),           # dim 24
+], ids=["3hp", "3two-level"])
+def test_collective_moments_match_the_pair_loop(space):
+    # s2, s4 and s6 through L = sum_j l_j against the per-emitter means and
+    # the n (n - 1) ordered pairs, on the same state
+    p = _params(n_atoms=3, beta=0.6, tau_indiv=0.5, tau_common=2.0, tau_jitter=3.0)
+    mstate, state = liouville.steady_moment_state(p, 0.3, space)
+    a = _kron_chain_lowering(space.dims, 0)
+    lows = [_kron_chain_lowering(space.dims, s) for s in (1, 2, 3)]
+    s2 = np.mean([liouville.expectation(state, low) for low in lows])
+    s4 = np.mean([liouville.expectation(state, a.conj().T @ low) for low in lows])
+    s5 = np.mean([liouville.expectation(state, low.conj().T @ low).real for low in lows])
+    s6 = np.mean([liouville.expectation(state, k.conj().T @ j)
+                  for k in lows for j in lows if k is not j]).real
+    assert abs(mstate.s2 - s2) <= 1e-14 * abs(s2)
+    assert abs(mstate.s4 - s4) <= 1e-14 * abs(s4)
+    scale = max(s5, abs(s6))
+    assert abs(mstate.s5 - s5) <= 1e-14 * scale
+    assert abs(mstate.s6 - s6) <= 1e-14 * scale
 
 
 def test_two_level_equals_hp_at_cutoff_one():
@@ -287,7 +344,7 @@ def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
     state = liouville.steady_state(gen, space.dims)
     assert len(direct) == 1 and caplog.records[-1].solve.method == "direct"
-    a_c = liouville.cavity_annihilation(space)
+    a_c = _kron_chain_lowering(space.dims, 0)
     mean = liouville.expectation(state, a_c)
     number = liouville.expectation(state, a_c.conj().T @ a_c).real
     assert abs(number / abs(mean) ** 2 - 2.0) < 1e-3
@@ -296,7 +353,7 @@ def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):
 def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
     # a two-photon drive moves k by 2 in both directions of the sweep
     p, space = _empty(beta=1.0, tau_jitter=1.0), SpaceSpec(cavity_cutoff=80, n_atoms=0)
-    a_c = liouville.cavity_annihilation(space)
+    a_c = _kron_chain_lowering(space.dims, 0)
     squeeze = 0.4 * (a_c @ a_c + (a_c @ a_c).conj().T)
     gen = liouville.build_liouvillian(p, 0.0, space, extra_hamiltonian=squeeze)
     swept = liouville._sector_steady(gen, space.dims, liouville._SolveRecord("sector", 81))
@@ -307,8 +364,9 @@ def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
 def test_a_one_emitter_term_keeps_every_entry_an_unknown():
     p = _params(n_atoms=2, beta=0.4, tau_indiv=0.5, tau_common=2.0)
     space = SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2)              # dim 36
+    first = _kron_chain_lowering(space.dims, 1)
     gen = liouville.build_liouvillian(
-        p, 0.0, space, extra_hamiltonian=0.3 * liouville.atom_number(space, 0))
+        p, 0.0, space, extra_hamiltonian=0.3 * (first.conj().T @ first))
     record = liouville._SolveRecord("sector", space.dimension)
     swept = liouville._sector_steady(gen, space.dims, record)
     direct = liouville._direct_steady(gen, space.dimension)
@@ -788,9 +846,11 @@ def test_stochastic_rejects_bad_input():
     with pytest.raises(ParameterError, match="sizes disagree"):
         liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0[:8, :8],
                                              t_end=0.1, n_traj=4, seed=1)
-    big = SpaceSpec(cavity_cutoff=59, n_atoms=0)
-    gen_big = liouville.build_liouvillian(_empty(), 0.0, big)
-    with pytest.raises(BudgetError):
-        liouville.stochastic_dephasing_check(
-            gen_big, np.diag(np.arange(60.0)), 1.0, np.eye(60) / 60.0,
-            t_end=0.1, n_traj=4, seed=1)
+    # nothing dense is formed, so dimension 60 is checked like any other
+    gen_big, n_big, rho_big = _decaying_cavity(dim=60)
+    assert liouville.stochastic_dephasing_check(gen_big, n_big, 0.0, rho_big, t_end=0.1,
+                                                n_traj=4, seed=1) == 0.0
+    gen_driven, _, _ = _decaying_cavity(dim=60, beta=0.5)
+    with pytest.raises(ParameterError, match="commute"):
+        liouville.stochastic_dephasing_check(gen_driven, n_big, 1.0, rho_big,
+                                             t_end=0.1, n_traj=4, seed=1)
