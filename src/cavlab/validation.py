@@ -63,13 +63,13 @@ def _result(name: str, start: float, budget: float | None,
                        seconds=seconds, budget_seconds=budget)
 
 
-def _random_params(rng, n_atoms: int, drive: bool = True) -> SystemParams:
+def _random_params(rng, n_atoms: int) -> SystemParams:
     g, k1, k2, gam = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 4))
     taus = {}
     for key in ("tau_indiv", "tau_common"):
         if rng.random() < 0.75:
             taus[key] = 1.0 / np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))
-    beta = complex(rng.normal(), rng.normal()) if drive else 0.05
+    beta = complex(rng.normal(), rng.normal())
     return SystemParams(g=g, n_atoms=n_atoms, kappa1=k1, kappa2=k2,
                         omega_c=rng.uniform(-5, 5), omega_a=rng.uniform(-5, 5),
                         gamma_par=gam, beta=beta, **taus)

@@ -1,8 +1,9 @@
 """Acceptance gate: every advertised identity at its pinned tolerance.
 
-Each test runs one validation check, prints its PASS/FAIL line, and fails if
-the check does.  Checks that cannot fit the dimension budget are skipped with
-the budget message instead of failing.
+Each test runs one validation criterion through ``validation.run_all``,
+prints its PASS/FAIL line, and fails if the criterion does, a crash
+included.  Criteria that cannot fit the dimension budget are skipped with the
+budget message instead of failing, as ``cavlab validate`` reports them.
 """
 import pytest
 
@@ -10,13 +11,13 @@ from cavlab import validation
 from cavlab.validation import DEFAULT_SEED
 
 
-def _run(fn):
-    result = fn(DEFAULT_SEED)
+def _run(name, seed=DEFAULT_SEED):
+    [result] = validation.run_all(seed, only=[name])
     print()
     print(result.line())
     if result.skipped:
         pytest.skip(result.reason)
-    assert result.passed, result.detail
+    assert result.passed, result.line()
     return result
 
 
@@ -29,43 +30,42 @@ def test_registry_names_are_unique_and_complete():
 
 
 def test_steady_state_equivalence():
-    _run(validation.check_steady_state_equivalence)
+    _run("steady-state-equivalence")
 
 
 def test_energy_conservation():
-    _run(validation.check_energy_conservation)
+    _run("energy-conservation")
 
 
 def test_transmission_profile():
-    _run(validation.check_transmission_profile)
+    _run("transmission-profile")
 
 
 def test_jitter_coherence_ratio():
-    _run(validation.check_jitter_coherence_ratio)
+    _run("jitter-coherence-ratio")
 
 
 def test_spectrum_triple_agreement():
-    _run(validation.check_spectrum_triple_agreement)
+    _run("spectrum-triple-agreement")
 
 
 def test_height_bounds_and_limits():
-    _run(validation.check_height_bounds_and_limits)
+    _run("height-bounds-and-limits")
 
 
 def test_stochastic_dephasing():
-    _run(validation.check_stochastic_dephasing)
+    _run("stochastic-dephasing")
 
 
 def test_coherent_state_preservation():
-    _run(validation.check_coherent_state_preservation)
+    _run("coherent-state-preservation")
 
 
 def test_coherent_state_preservation_scales_each_moment_by_its_own_size():
     # at this seed a draw has |s2| = 762 |s1|: residuals of the emitter
     # moments measured against |s1|^2 would read rounding as a failure
-    result = validation.check_coherent_state_preservation(115)
-    assert result.passed, result.detail
+    _run("coherent-state-preservation", seed=115)
 
 
 def test_linear_regime_boundary():
-    _run(validation.check_linear_regime_boundary)
+    _run("linear-regime-boundary")

@@ -228,6 +228,36 @@ def test_spectrum_probe_empty_cavity_default_cutoff_holds_the_photons(tmp_path):
     assert abs(float(header["photon_number"]) - 5.2) < 1e-6
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["profile", "--config", DEPHASED, "--method", "moments", "--grid=-4:4:9"],
+    ["spectrum", "--config", DEPHASED, "--omega-l", "8"],
+    ["spectrum", "--config", JITTER, "--method", "probe", "--grid=-1:1:3"],
+    ["wigner", "--config", JITTER],
+    ["height-scan", "--config", DEPHASED, "--sweep", "gamma_par", "--grid=0.01:10:7"],
+], ids=["profile", "spectrum", "spectrum-probe", "wigner", "height-scan"])
+def test_a_file_regenerates_from_its_own_header(tmp_path, argv, fmt):
+    first, config, second = tmp_path / "first", tmp_path / "config.json", tmp_path / "second"
+    assert cli.main(argv + ["--format", fmt, "--out", str(first)]) == 0
+    if fmt == "json":
+        header_config = json.loads(first.read_text())["config"]
+    else:
+        header_config = _read_csv(first)[0]
+    config.write_text(json.dumps(header_config))
+    assert cli.main([argv[0], "--config", str(config), "--format", fmt,
+                     "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_config_written_by_another_command_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "profile.json"
+    cfg.write_text(json.dumps({**json.loads(Path(RESONANT).read_text()),
+                               "command": "profile"}))
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'profile'" in err and "'spectrum'" in err
+
+
 @pytest.mark.parametrize("command", ["profile", "spectrum", "wigner", "height-scan"])
 def test_config_seed_key_is_rejected(tmp_path, command, capsys):
     # no config-reading command uses a seed, so the key is an unknown field
