@@ -30,17 +30,21 @@ solve that stalls above a residual of 1e-14 falls back to the LU.
 Probe.  The weak-probe spectrum splits the constrained system into the
 probe populations, factored once per scan, and the probe coherences,
 factored per point; block Gauss-Seidel sweeps solve each point, and a point
-whose sweeps stall above a residual of 1e-14 is solved directly.  The space
-without the probe must pass the LU's size rule.
+whose sweeps stall above a residual of 1e-14 is solved directly.  The
+populations' rho_00 block, the probe in its ground state, is the
+constrained generator of the system without the probe, so its LU also
+gives the bare steady state that sets the coherent line.  The space without
+the probe must pass the LU's size rule.
 
 Wigner.  The exact Fock-basis (Laguerre) recurrence along each diagonal.
 
 Stochastic check.  Trajectories of commuting number-operator noise against
 the dephasing channel, on one propagation.
 
-Every generator build, steady_state call and rung of the cavity-cutoff scan
-logs what it did at DEBUG level on this module's logger.  The Hilbert-space
-dimension is capped by a budget, overridable through CAVLAB_BUDGET.
+Every generator build, steady_state call, probe scan and rung of the
+cavity-cutoff scan logs what it did at DEBUG level on this module's logger.
+The Hilbert-space dimension is capped by a budget, overridable through
+CAVLAB_BUDGET.
 """
 from __future__ import annotations
 
@@ -331,21 +335,30 @@ def _residual(gen: sp.spmatrix, x: np.ndarray) -> float:
     return float(np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300))
 
 
+def _refined_solve(lu, a: sp.spmatrix, b: np.ndarray, gen: sp.spmatrix,
+                   caller: str) -> tuple[np.ndarray, float]:
+    """Solve the constrained system a x = b through its LU with two steps of
+    iterative refinement, and accept x on the residual of gen, the generator
+    without the constraint, within _DIRECT_TOL."""
+    x = lu.solve(b)
+    for _ in range(2):
+        x = x + lu.solve(b - a @ x)
+    residual = _residual(gen, x)
+    if residual > _DIRECT_TOL:
+        raise SingularSystemError(
+            f"{caller}: residual {residual:.3e} above tolerance {_DIRECT_TOL:.3e}"
+        )
+    return x, residual
+
+
 def _direct_steady(gen: sp.spmatrix, dim: int,
                    record: _SolveRecord | None = None) -> np.ndarray:
     a, b = _constrained(gen, _trace_row(dim))
     try:
         lu = splu(a)
-        x = lu.solve(b)
-        for _ in range(2):
-            x = x + lu.solve(b - a @ x)
     except RuntimeError as exc:
         raise SingularSystemError(f"steady_state: sparse LU failed: {exc}") from exc
-    residual = _residual(gen, x)
-    if residual > _DIRECT_TOL:
-        raise SingularSystemError(
-            f"steady_state: residual {residual:.3e} above tolerance {_DIRECT_TOL:.3e}"
-        )
+    x, residual = _refined_solve(lu, a, b, gen, "steady_state")
     if record is not None:
         record.unknowns = dim * dim
         record.fill += lu.nnz
@@ -584,7 +597,8 @@ def steady_moment_state(params: SystemParams, omega_l: float,
 
 def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpec
                            ) -> tuple[MomentState, TruncatedState, SpaceSpec]:
-    """Raise the cavity cutoff by 2 until the reported moments settle.  Each
+    """Raise the cavity cutoff by 2 until the reported moments settle, at
+    most _CUTOFF_ROUNDS times; SingularSystemError if they have not.  Each
     rung logs its cutoff, dimension and relative moment change (NaN on the
     first) at DEBUG level."""
     current = space
@@ -600,7 +614,10 @@ def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpe
             return m2, s2, bigger
         current, mstate, state = bigger, m2, s2
     raise SingularSystemError(
-        "converged_moment_state: cavity cutoff did not converge within budget"
+        f"converged_moment_state: moments still changed by {change:.2e} "
+        f"(tolerance {_CUTOFF_REL_TOL:.0e}) after {_CUTOFF_ROUNDS + 1} rungs, "
+        f"cavity cutoff {space.cavity_cutoff} to {current.cavity_cutoff} "
+        f"(dimension {current.dimension} of budget {dimension_budget()})"
     )
 
 
@@ -723,6 +740,28 @@ def wigner_grid_for_state(state: TruncatedState) -> tuple[np.ndarray, np.ndarray
 
 # --- Appendix-style probe spectrum ------------------------------------------
 
+@dataclass
+class _ProbeRecord:
+    """What one probe_spectrum call did."""
+
+    points: int
+    factorizations: int = 0   # sparse LUs formed: rho_11, rho_00, per point, per fallback
+    sweeps: int = 0           # block Gauss-Seidel sweeps over every point
+    most_sweeps: int = 0      # at one point
+    fallbacks: int = 0        # points solved directly on the full generator
+    bare_residual: float = math.nan   # of the steady state without the probe
+    backaction: float = 0.0   # largest probe amplitude over epsilon * |<a>|
+    seconds: float = 0.0
+
+    def __str__(self) -> str:
+        return (f"probe_spectrum: {self.points} points, "
+                f"{self.factorizations} LU factorizations, {self.sweeps} sweeps "
+                f"(at most {self.most_sweeps} at a point), "
+                f"{self.fallbacks} direct fallbacks, "
+                f"bare residual {self.bare_residual:.2e}, "
+                f"worst back-action {self.backaction:.2f}, {self.seconds:.3f} s")
+
+
 def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
                    epsilon: float, kappa_p: float | None = None, *,
                    space: SpaceSpec) -> SpectrumResult:
@@ -732,11 +771,15 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     the composite steady state is solved, and the probe occupation divided by
     pi * kappa_p * epsilon**2 estimates the total spectral density; the
     coherent line appears as a Lorentzian of width kappa_p and is subtracted
-    to leave the incoherent part.  Raises BudgetError before any solve when
+    to leave the incoherent part.  Its power |<a>|^2, and the photon number,
+    come from the steady state without the probe, which is the solve of the
+    rho_00 block of the probe populations (see _probe_steady_states): one
+    generator is built per call.  Raises BudgetError before any solve when
     the space without the probe, the size of each block of the exact solve,
     fails the direct-solve rule, or the space with the probe exceeds the
-    dimension budget.
+    dimension budget.  Each call logs a _ProbeRecord at DEBUG level.
     """
+    start = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
     if epsilon <= 0.0 or epsilon >= 1.0:
         raise ParameterError("probe_spectrum: epsilon must be in (0, 1)")
@@ -754,12 +797,6 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         raise BudgetError(f"probe_spectrum: dimension {base.dimension} without the "
                           f"probe is above the direct-solve limit {_DIRECT_SOLVE_LIMIT}")
     space.check_budget()
-    gen0 = build_liouvillian(params, omega_l, base)
-    bare = steady_state(gen0, base.dims)
-    mean_field = expectation(bare, _lowering(base.dims, 0))
-    photon_number = float(bare.rho.diagonal().real @ _levels(base.dims)[0])
-    coherent_power = abs(mean_field) ** 2
-
     g_p = epsilon * kappa_p
     dims = space.dims
     a_p, a_c = _lowering(dims, len(dims) - 1), _lowering(dims, 0)
@@ -769,20 +806,26 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         extra_hamiltonian=coupling,
         extra_jumps=(math.sqrt(2.0 * kappa_p) * a_p,),
     )
+    record = _ProbeRecord(points=grid.size)
+    bare, states = _probe_steady_states(gen_fixed, grid - omega_l, dims, record)
+    mean_field = expectation(bare, _lowering(base.dims, 0))
+    photon_number = float(bare.rho.diagonal().real @ _levels(base.dims)[0])
+    coherent_power = abs(mean_field) ** 2
 
     density = np.empty(grid.size)
-    worst_backaction = 0.0
     probe_level = _levels(dims)[-1]
-    for k, state in enumerate(_probe_steady_states(gen_fixed, grid - omega_l, dims)):
+    for k, state in enumerate(states):
         occupation = float(state.rho.diagonal().real @ probe_level)
         density[k] = occupation / (math.pi * kappa_p * epsilon ** 2)
         probe_amp = abs(expectation(state, a_p))
         if coherent_power > 0.0:
-            worst_backaction = max(
-                worst_backaction, probe_amp / (epsilon * math.sqrt(coherent_power)))
-    if worst_backaction > 2.0:
+            record.backaction = max(
+                record.backaction, probe_amp / (epsilon * math.sqrt(coherent_power)))
+    record.seconds = time.perf_counter() - start
+    _log.debug("%s", record, extra={"probe": record})
+    if record.backaction > 2.0:
         warnings.warn(
-            f"probe_spectrum: probe amplitude reached {worst_backaction:.2f}x "
+            f"probe_spectrum: probe amplitude reached {record.backaction:.2f}x "
             "the epsilon * cavity-field bound; results may be perturbed",
             RuntimeWarning,
         )
@@ -798,9 +841,10 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
 
 
 def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
-                         dims: tuple[int, ...]):
-    """Steady state of gen_fixed - i delta [n_p, .] for every probe detuning,
-    n_p the number operator of the probe, the last site.
+                         dims: tuple[int, ...], record: _ProbeRecord):
+    """The steady state without the probe, and an iterator over the steady
+    states of gen_fixed - i delta [n_p, .] for every probe detuning, n_p the
+    number operator of the probe, the last site.  Fills in record.
 
     -i [n_p, .] is diagonal, -i times the ket's minus the bra's probe level,
     so nonzero exactly on the probe coherences (Q: rho_01 and rho_10); the
@@ -818,11 +862,16 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     the one before.  A point whose residual ends above _BLOCK_TOL is solved
     directly on the full generator.
 
-    Two exact shortcuts halve what is factored.  A_PP is block triangular
+    Three exact shortcuts cut what is factored.  A_PP is block triangular
     (probe decay takes rho_11 to rho_00, nothing takes rho_00 to rho_11), so
     it is solved through the LUs of its rho_11 and rho_00 blocks, rho_11
-    first.  The generator maps rho^dagger to (L rho)^dagger, so only the
-    rho_01 half of Q is solved and rho_10 is its mirror.
+    first.  With the probe in its ground state on both sides, its coupling,
+    decay and detuning all vanish, so the rho_00 block of gen_fixed is the
+    generator of the system without the probe, its entries in the same
+    order, and the rho_00 block of A_PP that generator constrained: its LU
+    solves the bare steady state as _direct_steady does, on rhs b_00 = e_0.
+    The generator maps rho^dagger to (L rho)^dagger, so only the rho_01 half
+    of Q is solved and rho_10 is its mirror.
     """
     dim = int(np.prod(dims))
     probe = _levels(dims)[-1]
@@ -841,29 +890,44 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
         lu_p = [splu(diagonal[0]), splu(diagonal[1])]
     except RuntimeError as exc:
         raise SingularSystemError(f"probe_spectrum: sparse LU failed: {exc}") from exc
-    for delta in deltas:
-        gen = (gen_fixed + sp.diags(delta * shift)).tocsr()
-        residual = np.inf
-        try:
-            lu_q = splu((diagonal[2] + sp.diags(delta * shift[blocks[2]])).tocsc())
-            x = np.zeros(dim * dim, dtype=complex)
-            previous = np.inf
-            for sweep in range(1, _BLOCK_SWEEPS + 1):
-                for idx, others, c, lu in zip(blocks, rest, coupling, lu_p + [lu_q]):
-                    x[idx] = lu.solve(b[idx] - c @ x[others])
-                x[mirror] = x[blocks[2]].conj()
-                residual = _residual(gen, x)
-                slow = residual > 0.5 * previous
-                # the residual at this rate after the sweeps left
-                reach = residual * (residual / previous) ** (_BLOCK_SWEEPS - sweep)
-                if slow or reach > _BLOCK_TOL:
-                    break
-                previous = residual
-        except RuntimeError:
+    record.factorizations = 2
+    ground = blocks[1]
+    x, record.bare_residual = _refined_solve(
+        lu_p[1], diagonal[1], b[ground], gen_fixed.tocsr()[ground][:, ground],
+        "probe_spectrum: steady state without the probe")
+    bare = _state_from_vector(x, dims[:-1])
+
+    def points():
+        for delta in deltas:
+            gen = (gen_fixed + sp.diags(delta * shift)).tocsr()
             residual = np.inf
-        if residual > _BLOCK_TOL:
-            x = _direct_steady(gen, dim)
-        yield _state_from_vector(x, dims)
+            try:
+                lu_q = splu((diagonal[2] + sp.diags(delta * shift[blocks[2]])).tocsc())
+                record.factorizations += 1
+                x = np.zeros(dim * dim, dtype=complex)
+                previous = np.inf
+                for sweep in range(1, _BLOCK_SWEEPS + 1):
+                    for idx, others, c, lu in zip(blocks, rest, coupling, lu_p + [lu_q]):
+                        x[idx] = lu.solve(b[idx] - c @ x[others])
+                    x[mirror] = x[blocks[2]].conj()
+                    record.sweeps += 1
+                    record.most_sweeps = max(record.most_sweeps, sweep)
+                    residual = _residual(gen, x)
+                    slow = residual > 0.5 * previous
+                    # the residual at this rate after the sweeps left
+                    reach = residual * (residual / previous) ** (_BLOCK_SWEEPS - sweep)
+                    if slow or reach > _BLOCK_TOL:
+                        break
+                    previous = residual
+            except RuntimeError:
+                residual = np.inf
+            if residual > _BLOCK_TOL:
+                x = _direct_steady(gen, dim)
+                record.factorizations += 1
+                record.fallbacks += 1
+            yield _state_from_vector(x, dims)
+
+    return bare, points()
 
 
 # --- stochastic-Hamiltonian consistency check -------------------------------

@@ -292,6 +292,20 @@ def test_wigner_rows_follow_grid_order(tmp_path):
     assert float(header["photon_number"]) == pytest.approx(5.2, abs=5e-2)
 
 
+def test_wigner_cutoff_scan_that_runs_out_of_rungs_says_where_it_stopped(
+        tmp_path, monkeypatch, capsys):
+    # from cutoff 12 the moments still move by 2.3e-4 at cutoff 20, far
+    # inside the dimension budget
+    monkeypatch.delenv("CAVLAB_BUDGET", raising=False)
+    rc = cli.main(["wigner", "--config", JITTER, "--cutoff", "12", "--grid=-6:6:13",
+                   "--out", str(tmp_path / "w.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: converged_moment_state: moments still changed by 2.32e-04 "
+        "(tolerance 1e-06) after 5 rungs, cavity cutoff 12 to 20 "
+        "(dimension 21 of budget 512)\n")
+
+
 def test_wigner_with_emitters_and_jitter_starts_from_the_jitter_bound(tmp_path):
     # no closed form covers emitters plus jitter: the starting cutoff comes
     # from |<a_c>|**2 times the empty-cavity ratio 1 + 1/(kappa tau_jit) = 1.5
@@ -435,6 +449,17 @@ def test_verbose_logs_every_solve_to_stderr_and_leaves_stdout_alone(tmp_path, ca
                                "cavity cutoff 2, dimension 48")
     assert logging.getLogger("cavlab").handlers == []
     assert cli.main(argv) == 0 and capsys.readouterr().err == ""
+
+
+def test_verbose_probe_spectrum_logs_one_build_and_one_probe_record(tmp_path, capsys):
+    argv = ["spectrum", "--config", JITTER, "--method", "probe", "--grid=-1:1:3",
+            "--out", str(tmp_path / "s.csv")]
+    assert cli.main(["-v"] + argv) == 0
+    build, probe = capsys.readouterr().err.splitlines()
+    assert build.startswith("cavlab.liouville: build_liouvillian: dimension 58, ")
+    assert probe.startswith("cavlab.liouville: probe_spectrum: 3 points, "
+                            "5 LU factorizations, ")
+    assert " 0 direct fallbacks, bare residual " in probe
 
 
 def test_module_runs_as_subprocess(tmp_path):

@@ -4,6 +4,7 @@ import logging
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -598,7 +599,7 @@ def test_probe_spectrum_cavity_only_is_exact_at_any_size(monkeypatch, cutoff):
     s = liouville.probe_spectrum(p, 0.0, grid, epsilon=1e-3, kappa_p=kappa_p,
                                  space=SpaceSpec(cavity_cutoff=cutoff, n_atoms=0,
                                                  probe_enabled=True))
-    assert len(solves) == 1                   # the bare state only
+    assert solves == []                       # the bare state is the rho_00 block's
     line = (abs(analytic.mean_field(p, 0.0)) ** 2 * (kappa_p / math.pi)
             / (kappa_p ** 2 + grid ** 2))
     assert np.max(np.abs(s.meta["total_density"] - line) / line) < 1e-8
@@ -651,22 +652,26 @@ def test_probe_block_solve_matches_direct_solve(monkeypatch, omega_l):
     kwargs = dict(epsilon=0.01, kappa_p=1e-2 / math.pi, space=CRITERION_SPACE)
     direct = _count_calls(monkeypatch, "_direct_steady")
     block = liouville.probe_spectrum(p, omega_l, grid, **kwargs).meta["total_density"]
-    assert len(direct) == 1                   # the bare state only: no fallback
+    assert direct == []                       # no fallback, and no bare solve
     monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)   # every point direct
     full = liouville.probe_spectrum(p, omega_l, grid, **kwargs).meta["total_density"]
-    assert len(direct) == 2 + grid.size
+    assert len(direct) == grid.size
     assert np.max(np.abs(block - full) / full) <= 1e-12
 
 
-def test_probe_strong_coupling_falls_back_to_direct_solve(monkeypatch):
+def test_probe_strong_coupling_falls_back_to_direct_solve(monkeypatch, caplog):
     # at epsilon 0.9 the block sweeps diverge
     p = _empty(beta=1.0)
     grid = np.linspace(-3.0, 3.0, 5)
     kwargs = dict(epsilon=0.9, kappa_p=1.0,
                   space=SpaceSpec(cavity_cutoff=13, n_atoms=0, probe_enabled=True))
     direct = _count_calls(monkeypatch, "_direct_steady")
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
     swept = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
-    assert len(direct) == 1 + grid.size
+    assert len(direct) == grid.size
+    record = caplog.records[-1].probe
+    assert record.fallbacks == grid.size
+    assert record.factorizations == 2 + 2 * grid.size     # block and direct LU per point
     monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)
     full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
     assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])
@@ -682,7 +687,8 @@ def test_probe_stops_sweeps_that_cannot_converge(monkeypatch):
     residuals = _count_calls(monkeypatch, "_residual")
     swept = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
     per_generator = Counter(id(args[0]) for args in residuals)
-    assert len(per_generator) == 1 + grid.size       # the bare state and each point
+    # the rho_00 block for the bare state, and each point
+    assert len(per_generator) == 1 + grid.size
     assert max(per_generator.values()) <= 4
     monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)
     full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
@@ -696,9 +702,59 @@ def test_probe_factors_the_populations_once_per_scan(monkeypatch):
     factored = _count_calls(monkeypatch, "splu")
     liouville.probe_spectrum(p, 0.0, grid, epsilon=0.01, kappa_p=1e-2 / math.pi,
                              space=space)
-    # the bare state, the rho_11 and rho_00 blocks of the probe populations
-    # once, and the coherence block at each point
-    assert len(factored) == 3 + grid.size
+    # the rho_11 and rho_00 blocks of the probe populations once, the latter
+    # also giving the bare state, and the coherence block at each point
+    assert len(factored) == 2 + grid.size
+
+
+def test_probe_logs_one_record_and_builds_one_generator(monkeypatch, caplog):
+    grid = CRITERION_GRID[::20]
+    p = _params(g=2.0 * math.sqrt(5.0), tau_common=1.0 / 3.0)
+    solves = _count_calls(monkeypatch, "steady_state")
+    factored = _count_calls(monkeypatch, "splu")
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    liouville.probe_spectrum(p, 0.0, grid, epsilon=0.01, kappa_p=1e-2 / math.pi,
+                             space=CRITERION_SPACE)
+    assert solves == [] and len(caplog.records) == 2
+    assert hasattr(caplog.records[0], "build")
+    record = caplog.records[1].probe
+    assert record.points == grid.size and record.fallbacks == 0
+    assert record.factorizations == len(factored) == 2 + grid.size
+    assert grid.size <= record.sweeps <= record.most_sweeps * grid.size
+    assert record.bare_residual <= liouville._DIRECT_TOL
+    assert 0.0 < record.backaction <= 2.0
+    assert caplog.records[1].getMessage().startswith(
+        f"probe_spectrum: {grid.size} points, {2 + grid.size} LU factorizations, ")
+
+
+@pytest.mark.parametrize("params, omega_l, space", [
+    (_params(g=2.0 * math.sqrt(5.0), tau_common=1.0 / 3.0), 0.0, CRITERION_SPACE),
+    (_params(g=2.0 * math.sqrt(5.0), tau_common=1.0 / 3.0), 8.0, CRITERION_SPACE),
+    (_empty(beta=1.0, tau_jitter=1.0), 0.0,
+     SpaceSpec(cavity_cutoff=9, n_atoms=0, probe_enabled=True)),
+], ids=["criterion-w0", "criterion-w8", "cavity-jitter"])
+def test_probe_bare_state_is_the_direct_steady_state_bit_for_bit(monkeypatch, params,
+                                                                 omega_l, space):
+    scans = _count_calls(monkeypatch, "_probe_steady_states")
+    s = liouville.probe_spectrum(params, omega_l, np.array([omega_l + 0.1]),
+                                 epsilon=0.01, kappa_p=1e-2 / math.pi, space=space)
+    base = replace(space, probe_enabled=False)
+    bare_gen = liouville.build_liouvillian(params, omega_l, base)
+    bare = liouville.steady_state(bare_gen, base.dims)
+    a = liouville._lowering(base.dims, 0)
+    assert s.coherent_power == abs(liouville.expectation(bare, a)) ** 2
+    assert s.meta["photon_number"] == float(
+        bare.rho.diagonal().real @ liouville._levels(base.dims)[0])
+    # the rho_00 block of the generator with the probe, with the trace
+    # constraint or without, is the generator without it
+    gen_fixed, dim = scans[0][0], space.dimension
+    ket, bra = np.divmod(np.arange(dim * dim), dim)
+    ground = np.flatnonzero((ket % 2 == 0) & (bra % 2 == 0))     # probe level 0
+    constrained = liouville._constrained(gen_fixed, liouville._trace_row(dim))[0]
+    reference = liouville._constrained(bare_gen, liouville._trace_row(base.dimension))[0]
+    for full, ref in [(gen_fixed, bare_gen), (constrained, reference)]:
+        block = full.tocsr()[ground][:, ground]
+        assert block.nnz == ref.nnz and (block != ref).nnz == 0
 
 
 # --- stochastic dephasing consistency ------------------------------------------------
