@@ -27,12 +27,12 @@ import numpy as np
 from . import analytic, liouville, moments, validation
 from .errors import BudgetError, ParameterError, SingularSystemError
 from .liouville import SpaceSpec
-from .model import SystemParams, params_from_dict, params_to_dict
+from .model import SystemParams, finite_number, params_from_dict, params_to_dict
 
-# config-file keys that steer a command rather than the physics
-_OPTION_KEYS = {
-    "omega_l", "grid", "method", "cutoff", "sweep",
-    "render_width", "epsilon", "kappa_p",
+# config-file keys that steer a command rather than the physics, by type
+_OPTION_TYPES = {
+    "omega_l": float, "grid": str, "method": str, "cutoff": int, "sweep": str,
+    "render_width": float, "epsilon": float, "kappa_p": float,
 }
 
 # one number in a data row or a header value: 17 significant digits
@@ -51,8 +51,8 @@ def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"grid must be min:max:n, got {text!r}") from exc
-    if not (lo < hi and n >= 2):
-        raise ParameterError(f"grid needs min < max and n >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
+        raise ParameterError(f"grid needs finite min < max and n >= 2, got {text!r}")
     if log_spaced:
         if lo <= 0:
             raise ParameterError("log-spaced grid needs min > 0")
@@ -66,8 +66,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _option(key: str, value):
+    """A command option as its type: a string, a whole or a finite number."""
+    kind = _OPTION_TYPES[key]
+    if kind is not str:
+        return kind(finite_number(key, value, whole=kind is int))
+    if not isinstance(value, str):
+        raise ParameterError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
 def _load_config(args) -> tuple[SystemParams, dict]:
-    """Split the config file into physics parameters and command options.
+    """Split the config file into physics parameters and typed options.
 
     Command-line flags win over config-file options.  A ``command`` key, as
     in a config copied from an output header, must name this command.
@@ -84,13 +94,13 @@ def _load_config(args) -> tuple[SystemParams, dict]:
     if command != args.command:
         raise ParameterError(
             f"config was written by command {command!r}, not {args.command!r}")
-    options = {key: raw.pop(key) for key in list(raw) if key in _OPTION_KEYS}
+    options = {key: raw.pop(key) for key in list(raw) if key in _OPTION_TYPES}
     params = params_from_dict(raw)
-    for key in _OPTION_KEYS:
+    for key in _OPTION_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             options[key] = flag
-    return params, options
+    return params, {key: _option(key, value) for key, value in options.items()}
 
 
 def _write(args, text: str) -> None:
@@ -157,7 +167,7 @@ def cmd_profile(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params, options = _load_config(args)
-    omega_l = options["omega_l"] = float(options.get("omega_l", 0.0))
+    omega_l = options.setdefault("omega_l", 0.0)
     method = options.setdefault("method", "analytic")
     if method not in ("analytic", "moments", "probe"):
         raise ParameterError(
@@ -172,22 +182,20 @@ def cmd_spectrum(args) -> int:
         options["grid"] = _grid_text(grid)
 
     if method == "probe":
-        epsilon = options["epsilon"] = float(options.get("epsilon", 1e-3))
-        kappa_p = options.get("kappa_p")
+        epsilon = options.setdefault("epsilon", 1e-3)
         default = _default_cutoff(params, omega_l) if params.n_atoms == 0 else 6
-        cutoff = options["cutoff"] = int(options.get("cutoff", default))
+        cutoff = options.setdefault("cutoff", default)
         space = SpaceSpec(cavity_cutoff=cutoff, n_atoms=params.n_atoms,
                           atom_cutoff=3, probe_enabled=True)
-        result = liouville.probe_spectrum(
-            params, omega_l, grid, epsilon=epsilon, space=space,
-            kappa_p=None if kappa_p is None else float(kappa_p))
+        result = liouville.probe_spectrum(params, omega_l, grid, epsilon=epsilon,
+                                          kappa_p=options.get("kappa_p"), space=space)
         # the probe's own linewidth renders its coherent line
-        width = options["kappa_p"] = float(result.meta["kappa_p"])
+        width = options["kappa_p"] = result.meta["kappa_p"]
     else:
         solve = (analytic.emission_spectrum if method == "analytic"
                  else moments.regression_spectrum)
         result = solve(params, omega_l, grid)
-        width = options["render_width"] = float(options.get("render_width", 1e-2 / math.pi))
+        width = options.setdefault("render_width", 1e-2 / math.pi)
     line = width / math.pi / ((grid - omega_l) ** 2 + width ** 2)
     rendered = result.incoherent_density + result.coherent_power * line
 
@@ -221,8 +229,8 @@ def _default_cutoff(params: SystemParams, omega_l: float) -> int:
 
 def cmd_wigner(args) -> int:
     params, options = _load_config(args)
-    omega_l = options["omega_l"] = float(options.get("omega_l", 0.0))
-    cutoff = options["cutoff"] = int(options.get("cutoff", _default_cutoff(params, omega_l)))
+    omega_l = options.setdefault("omega_l", 0.0)
+    cutoff = options.setdefault("cutoff", _default_cutoff(params, omega_l))
     space = SpaceSpec(cavity_cutoff=cutoff, n_atoms=params.n_atoms, atom_cutoff=3)
     _, trunc, space = liouville.converged_moment_state(params, omega_l, space)
     cavity = liouville.reduce_cavity(trunc)

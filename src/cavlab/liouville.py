@@ -331,8 +331,10 @@ def _constrained(gen: sp.spmatrix, trace: np.ndarray) -> tuple[sp.csc_matrix, np
     return a, b
 
 
-def _residual(gen: sp.spmatrix, x: np.ndarray) -> float:
-    return float(np.max(np.abs(gen @ x)) / max(np.max(np.abs(x)), 1e-300))
+def _residual(gen: sp.spmatrix, x: np.ndarray, diagonal: np.ndarray | None = None) -> float:
+    """max |(gen + diag(diagonal)) x| / max |x|, without forming the sum."""
+    gx = gen @ x if diagonal is None else gen @ x + diagonal * x
+    return float(np.max(np.abs(gx)) / max(np.max(np.abs(x)), 1e-300))
 
 
 def _refined_solve(lu, a: sp.spmatrix, b: np.ndarray, gen: sp.spmatrix,
@@ -781,14 +783,14 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     """
     start = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
-    if epsilon <= 0.0 or epsilon >= 1.0:
+    if not 0.0 < epsilon < 1.0:
         raise ParameterError("probe_spectrum: epsilon must be in (0, 1)")
     if kappa_p is None:
         rates = [params.kappa, params.gamma_par, params.gamma_perp]
         rates += [r for r in (params.inv_tau_jitter,) if r > 0.0]
         kappa_p = min(rates) / 100.0
-    if kappa_p <= 0.0:
-        raise ParameterError("probe_spectrum: kappa_p must be positive")
+    if not 0.0 < kappa_p < math.inf:
+        raise ParameterError("probe_spectrum: kappa_p must be positive and finite")
     if not space.probe_enabled:
         raise ParameterError("probe_spectrum: space must enable the probe mode")
 
@@ -859,8 +861,9 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     still end above _BLOCK_TOL.  The last sweep is kept, not the one of
     least residual: the residual is set by the O(1) rho_00 and does not see
     the O(epsilon^2) rho_11, which each sweep takes from the coherences of
-    the one before.  A point whose residual ends above _BLOCK_TOL is solved
-    directly on the full generator.
+    the one before.  The residual is taken as gen_fixed x + delta shift x;
+    the shifted generator is formed only for a point whose residual ends
+    above _BLOCK_TOL, which is solved directly on it.
 
     Three exact shortcuts cut what is factored.  A_PP is block triangular
     (probe decay takes rho_11 to rho_00, nothing takes rho_00 to rho_11), so
@@ -899,10 +902,10 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
 
     def points():
         for delta in deltas:
-            gen = (gen_fixed + sp.diags(delta * shift)).tocsr()
+            diag = delta * shift
             residual = np.inf
             try:
-                lu_q = splu((diagonal[2] + sp.diags(delta * shift[blocks[2]])).tocsc())
+                lu_q = splu((diagonal[2] + sp.diags(diag[blocks[2]])).tocsc())
                 record.factorizations += 1
                 x = np.zeros(dim * dim, dtype=complex)
                 previous = np.inf
@@ -912,7 +915,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
                     x[mirror] = x[blocks[2]].conj()
                     record.sweeps += 1
                     record.most_sweeps = max(record.most_sweeps, sweep)
-                    residual = _residual(gen, x)
+                    residual = _residual(gen_fixed, x, diag)
                     slow = residual > 0.5 * previous
                     # the residual at this rate after the sweeps left
                     reach = residual * (residual / previous) ** (_BLOCK_SWEEPS - sweep)
@@ -922,7 +925,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
             except RuntimeError:
                 residual = np.inf
             if residual > _BLOCK_TOL:
-                x = _direct_steady(gen, dim)
+                x = _direct_steady((gen_fixed + sp.diags(diag)).tocsr(), dim)
                 record.factorizations += 1
                 record.fallbacks += 1
             yield _state_from_vector(x, dims)

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * ``gamma_par`` is the population decay rate of a single emitter.
 * Noise channels are parametrised by time constants: ``tau_indiv`` (per-atom
   dephasing), ``tau_common`` (dephasing common to all atoms) and
-  ``tau_jitter`` (cavity-resonance jitter).  ``math.inf`` or an omitted JSON
-  field means the channel is off.  Internally every formula consumes the
+  ``tau_jitter`` (cavity-resonance jitter).  ``math.inf``, or in JSON ``null``
+  or no field, means the channel is off.  Internally every formula consumes the
   inverse rates, where exact ``0.0`` encodes an inactive channel, so the
   printed limit cases of the analytic results hold bit-for-bit.
 * ``beta`` is the coherent drive amplitude; ``|beta|**2`` is the incoming
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -84,6 +85,7 @@ class SystemParams:
         return self.inv_tau_jitter + self.kappa
 
     def replace(self, **changes) -> "SystemParams":
+        """A copy with fields changed, given as in the JSON form (None: channel off)."""
         data = params_to_dict(self)
         data.update(changes)
         return params_from_dict(data)
@@ -151,6 +153,20 @@ def params_to_dict(params: SystemParams) -> dict:
     }
 
 
+def finite_number(name: str, value, whole: bool = False) -> float:
+    """value as a float when it is a finite real number, a whole one if
+    asked, and not a bool; ParameterError naming the field otherwise."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            number = float(value)
+            if math.isfinite(number) and (number.is_integer() or not whole):
+                return number
+    except OverflowError:
+        pass
+    kind = "whole" if whole else "finite"
+    raise ParameterError(f"{name}: expected a {kind} number, got {value!r}")
+
+
 def params_from_dict(data: dict) -> SystemParams:
     known = {
         "g", "n_atoms", "kappa1", "kappa2", "omega_c", "omega_a",
@@ -162,36 +178,25 @@ def params_from_dict(data: dict) -> SystemParams:
 
     def _time(key: str) -> float:
         value = data.get(key)
-        if value is None:
-            return math.inf
-        return float(value)
+        return math.inf if value is None else finite_number(key, value)
 
     beta = data.get("beta", 0.0)
-    if isinstance(beta, (list, tuple)):
-        if len(beta) != 2:
-            raise ParameterError("beta: expected a number or a [re, im] pair")
-        beta = complex(float(beta[0]), float(beta[1]))
-    elif isinstance(beta, (int, float, complex)):
+    if isinstance(beta, (list, tuple)) and len(beta) == 2:
+        beta = complex(finite_number("beta", beta[0]), finite_number("beta", beta[1]))
+    elif isinstance(beta, numbers.Complex) and not isinstance(beta, bool):
         beta = complex(beta)
     else:
         raise ParameterError("beta: expected a number or a [re, im] pair")
 
     try:
-        return SystemParams(
-            g=float(data["g"]),
-            n_atoms=int(data["n_atoms"]),
-            kappa1=float(data["kappa1"]),
-            kappa2=float(data["kappa2"]),
-            omega_c=float(data["omega_c"]),
-            omega_a=float(data["omega_a"]),
-            gamma_par=float(data["gamma_par"]),
-            tau_indiv=_time("tau_indiv"),
-            tau_common=_time("tau_common"),
-            tau_jitter=_time("tau_jitter"),
-            beta=beta,
-        )
+        fields = {key: finite_number(key, data[key]) for key in (
+            "g", "kappa1", "kappa2", "omega_c", "omega_a", "gamma_par")}
+        n_atoms = int(finite_number("n_atoms", data["n_atoms"], whole=True))
     except KeyError as exc:
         raise ParameterError(f"missing parameter field: {exc.args[0]}") from exc
+    return SystemParams(**fields, n_atoms=n_atoms, tau_indiv=_time("tau_indiv"),
+                        tau_common=_time("tau_common"),
+                        tau_jitter=_time("tau_jitter"), beta=beta)
 
 
 def params_from_json(text: str) -> SystemParams:

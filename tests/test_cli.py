@@ -1,4 +1,5 @@
 """End-to-end checks of the command line front end."""
+import itertools
 import json
 import logging
 import math
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from cavlab import cli, validation
+from cavlab.errors import BudgetError
 from cavlab.model import params_from_dict
-from cavlab.validation import CheckResult
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 RESONANT = str(CONFIG_DIR / "atoms_resonant.json")
@@ -105,9 +106,52 @@ def test_profile_json_format(tmp_path):
     assert len(doc["rows"][0]) == len(doc["columns"])
 
 
-@pytest.mark.parametrize("grid", ["1:2", "2:1:5", "1:2:1", "a:b:c", "0:1:x"])
+@pytest.mark.parametrize("grid", ["1:2", "2:1:5", "1:2:1", "a:b:c", "0:1:x",
+                                  "0:inf:3", "nan:1:3", "-inf:0:3"])
 def test_bad_grid_is_a_config_error(tmp_path, grid):
     assert cli.main(["profile", "--config", RESONANT, f"--grid={grid}"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega-l", "nan", "--method", "moments"],
+    ["spectrum", "--omega-l", "nan", "--method", "analytic"],
+    ["spectrum", "--omega-l=-inf"],
+    ["wigner", "--omega-l", "nan"],
+])
+def test_non_finite_flag_is_a_config_error(tmp_path, argv, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main([argv[0], "--config", JITTER, *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: omega_l: expected a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("profile", "tau_indiv", "abc", "tau_indiv: expected a finite number, got 'abc'"),
+    ("profile", "beta", [0.05, "x"], "beta: expected a finite number, got 'x'"),
+    ("profile", "n_atoms", 2.5, "n_atoms: expected a whole number, got 2.5"),
+    ("profile", "grid", 5, "grid: expected a string, got 5"),
+    ("wigner", "cutoff", 6.5, "cutoff: expected a whole number, got 6.5"),
+])
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, command, key,
+                                                  value, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**json.loads(Path(RESONANT).read_text()), key: value}))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_whole_number_floats_read_as_integers(tmp_path):
+    config = json.loads(Path(JITTER).read_text())
+    as_float = tmp_path / "float.json"
+    as_float.write_text(json.dumps({**config, "n_atoms": 0.0, "cutoff": 12.0}))
+    as_int = tmp_path / "int.json"
+    as_int.write_text(json.dumps({**config, "cutoff": 12}))
+    outputs = []
+    for cfg in (as_float, as_int):
+        outputs.append(tmp_path / f"{cfg.stem}.csv")
+        assert cli.main(["spectrum", "--config", str(cfg), "--method", "probe",
+                         "--grid=-1:1:3", "--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_bad_method_is_a_config_error():
@@ -338,15 +382,17 @@ def test_height_scan_gamma_sweep_needs_dephasing_time(tmp_path):
     assert np.all(data[:, 1] <= data[:, 3] * (1 + 1e-12))
 
 
-def _fake_criteria(passing):
+def _fake_criteria(passing, budget=60.0):
     def runner(seed):
-        return CheckResult(name="fake-check", passed=passing, detail=f"seed {seed}",
-                           seconds=3.04, budget_seconds=60.0)
-    return (("fake-check", runner),)
+        return passing, f"seed {seed}"
+    return (("fake-check", (runner, budget)),)
 
 
 def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(validation, "CRITERIA", _fake_criteria(True))
+    # run_all reads the clock once before and once after each check
+    clock = itertools.count(0.0, 3.04)
+    monkeypatch.setattr(validation.time, "perf_counter", lambda: next(clock))
     out = tmp_path / "ok.json"
     assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -367,7 +413,7 @@ def test_validate_rejects_a_bad_seed_before_any_criterion(seed, monkeypatch, cap
     def never(seed):
         raise AssertionError("a criterion ran")
 
-    monkeypatch.setattr(validation, "CRITERIA", (("never", never),))
+    monkeypatch.setattr(validation, "CRITERIA", (("never", (never, None)),))
     with pytest.raises(SystemExit) as exc:
         cli.main(["validate", "--seed", seed])
     assert exc.value.code == 2
@@ -383,7 +429,7 @@ def _raise_in_criterion(seed):
 def test_crashing_criterion_is_a_fail_and_the_rest_still_run(monkeypatch):
     fine = _fake_criteria(True)
     monkeypatch.setattr(validation, "CRITERIA",
-                        (("crashing-check", _raise_in_criterion),) + fine)
+                        (("crashing-check", (_raise_in_criterion, None)),) + fine)
     crashed, after = validation.run_all(seed=3)
     assert crashed.crashed and not crashed.passed and not crashed.skipped
     assert crashed.line().startswith("FAIL crashing-check: crashed: ZeroDivisionError")
@@ -393,7 +439,7 @@ def test_crashing_criterion_is_a_fail_and_the_rest_still_run(monkeypatch):
 
 def test_validate_exits_3_when_a_criterion_crashed(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(validation, "CRITERIA",
-                        (("crashing-check", _raise_in_criterion),))
+                        (("crashing-check", (_raise_in_criterion, None)),))
     out = tmp_path / "crash.json"
     assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 3
     doc = json.loads(out.read_text())
@@ -402,6 +448,31 @@ def test_validate_exits_3_when_a_criterion_crashed(tmp_path, monkeypatch, capsys
     assert "ZeroDivisionError" in doc["results"][0]["detail"]
     err = capsys.readouterr().err
     assert "FAIL crashing-check" in err and err.rstrip().endswith(" s]")
+
+
+def test_a_criterion_over_its_budget_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(validation, "CRITERIA", _fake_criteria(True, budget=0.0))
+    [result] = validation.run_all(seed=3)
+    assert not result.passed and result.detail == "seed 3; exceeded 0s budget"
+    assert cli.main(["validate", "--seed", "3", "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_skipped_and_crashed_criteria_show_their_budget(tmp_path, monkeypatch, capsys):
+    def too_big(seed):
+        raise BudgetError("Hilbert dimension 18 exceeds budget 16")
+
+    monkeypatch.setattr(validation, "CRITERIA", (
+        ("skipped-check", (too_big, 180.0)),
+        ("crashing-check", (_raise_in_criterion, 60.0))))
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 3
+    skipped, crashed = capsys.readouterr().err.splitlines()
+    assert skipped.startswith("SKIP skipped-check: dimension budget too small: Hilbert")
+    assert skipped.endswith(" s of 180 s]")
+    assert crashed.startswith("FAIL crashing-check: crashed: ZeroDivisionError")
+    assert crashed.endswith(" s of 60 s]")
+    for result in json.loads(out.read_text())["results"]:
+        assert set(result) == {"name", "passed", "skipped", "reason", "detail"}
 
 
 def test_missing_transmission_doublet_is_a_fail_not_an_error():

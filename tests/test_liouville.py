@@ -630,8 +630,13 @@ def test_probe_spectrum_checks_the_budget_with_the_probe_before_any_solve(monkey
 def test_probe_spectrum_rejects_bad_arguments():
     p = _params()
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2, probe_enabled=True)
-    with pytest.raises(ParameterError, match="epsilon"):
-        liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=2.0, space=space)
+    for epsilon in (2.0, math.nan):
+        with pytest.raises(ParameterError, match="epsilon"):
+            liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=epsilon, space=space)
+    for kappa_p in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="kappa_p"):
+            liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=1e-3,
+                                     kappa_p=kappa_p, space=space)
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2)
     with pytest.raises(ParameterError, match="probe"):
         liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=1e-3, space=space)
@@ -686,10 +691,13 @@ def test_probe_stops_sweeps_that_cannot_converge(monkeypatch):
                   space=SpaceSpec(cavity_cutoff=13, n_atoms=0, probe_enabled=True))
     residuals = _count_calls(monkeypatch, "_residual")
     swept = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
-    per_generator = Counter(id(args[0]) for args in residuals)
-    # the rho_00 block for the bare state, and each point
-    assert len(per_generator) == 1 + grid.size
-    assert max(per_generator.values()) <= 4
+    # each sweep of a point checks the residual on that point's shift, and
+    # each direct solve (the bare state's, then every point's fallback) on
+    # its own generator
+    per_point = Counter(id(args[2]) for args in residuals if len(args) == 3)
+    assert len(per_point) == grid.size
+    assert max(per_point.values()) <= 3
+    assert len(residuals) == sum(per_point.values()) + 1 + grid.size
     monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)
     full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
     assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])

@@ -7,7 +7,9 @@ identity, the relaxation of the moment equations and the height bound must
 hold on every draw.  Over rates 1e-4..1e4 the closed forms must match the
 moment solve, the symmetry-reduced moments must match the per-emitter ones
 for up to three emitters, the flux identity and the height bound must hold,
-and a parameter record must survive the JSON round trip.  On small
+and a parameter record must survive the JSON round trip, while a
+string, a container, NaN or +-inf in any physics field or command option
+of a config must make the CLI exit 2 with one error line.  On small
 truncated spaces, the one-pass generator of the density-matrix oracle must
 equal the kron-chain reference, the sector-preconditioned steady state, on its own and solved over the orbits of identical
 emitters, must match the direct LU, and the stochastic
@@ -15,8 +17,11 @@ dephasing check without diffusion must be exact at any time, seed and
 trajectory count, and with diffusion must equal the two-propagation
 reference, the Lindblad generator evolved on its own.
 """
+import contextlib
+import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,14 +29,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from cavlab import analytic, liouville, moments
+from cavlab import analytic, cli, liouville, moments
 from cavlab.liouville import SpaceSpec
 from cavlab.model import SystemParams, params_from_json, params_to_dict
 from test_liouville import _kron_chain_liouvillian, _kron_chain_lowering
 from test_moments import _per_atom_steady_state
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 OMEGAS = np.linspace(-6.0, 6.0, 11)
@@ -169,6 +174,45 @@ def test_json_round_trip_over_wide_rates(tau_indiv, tau_common, tau_jitter, **fi
     p = SystemParams(**fields, **{key: value or math.inf for key, value in times.items()})
     # the text a config or an output header carries
     assert params_from_json(json.dumps(params_to_dict(p))) == p
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# numbers and words as text: "1.5" and "inf" are strings too
+_TEXT = st.text(alphabet="0123456789.-e:infax ", max_size=4)
+# a list of strings is malformed everywhere, beta's [re, im] pair included
+_CONTAINER = st.one_of(st.lists(_TEXT, min_size=1, max_size=2),
+                       st.dictionaries(_TEXT, st.integers(), max_size=2))
+JITTER_CONFIG = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                            / "empty_jitter.json").read_text())
+
+
+@st.composite
+def malformed_entries(draw) -> tuple[str, object]:
+    """A physics field or a command option, and a value of the wrong kind:
+    a string, a container, NaN or +-inf; never a string for an option that
+    takes one."""
+    key = draw(st.sampled_from(sorted(JITTER_CONFIG.keys() | {"tau_indiv", "tau_common"}
+                                      | cli._OPTION_TYPES.keys())))
+    wrong = [_CONTAINER, _NON_FINITE]
+    if cli._OPTION_TYPES.get(key) is not str:
+        wrong.append(_TEXT)
+    return key, draw(st.one_of(wrong))
+
+
+@settings(max_examples=40)
+@given(command=st.sampled_from(["profile", "spectrum", "wigner", "height-scan"]),
+       entry=malformed_entries())
+def test_a_malformed_config_value_exits_2_with_one_error_line(tmp_path_factory, command,
+                                                             entry):
+    key, value = entry
+    config = tmp_path_factory.mktemp("config") / "bad.json"
+    config.write_text(json.dumps({**JITTER_CONFIG, key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", str(config), "--out", str(config) + ".out"])
+    assert rc == 2
+    [line] = err.getvalue().splitlines()
+    assert line.startswith("error: ")
 
 
 _gate_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)

@@ -1,6 +1,9 @@
-"""Every ``python`` block of README.md runs as written."""
+"""Every ``python`` block of README.md runs as written, and its acceptance
+gate states each criterion's budget as ``validation.CRITERIA`` does."""
 import re
 from pathlib import Path
+
+from cavlab import validation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +13,10 @@ def test_readme_python_blocks_run():
     assert blocks
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_states_each_criterion_budget():
+    gate = README.read_text().split("## Acceptance gate")[1].split("\n## ")[0]
+    stated = re.findall(r"^\d\. \*\*([a-z-]+)\*\* \(budget (none|\d+ s)\)", gate, flags=re.M)
+    assert stated == [(name, "none" if budget is None else f"{budget:.0f} s")
+                      for name, (_, budget) in validation.CRITERIA]
