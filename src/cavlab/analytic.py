@@ -111,7 +111,7 @@ def _field_denominator(params: SystemParams, omega_l: float) -> complex:
 
 def mean_field(params: SystemParams, omega_l: float) -> complex:
     """Steady-state coherent cavity amplitude <a_c>."""
-    return math.sqrt(2.0 * params.kappa1) * params.beta / _field_denominator(params, omega_l)
+    return params.drive / _field_denominator(params, omega_l)
 
 
 def dephasing_fraction(params: SystemParams) -> float:
@@ -239,7 +239,7 @@ def spectrum_grid(params: SystemParams) -> np.ndarray:
     tails; the bare-cavity Lorentzian decays only quadratically and needs a
     much wider grid for tight integral checks.
     """
-    width = params.kappa + params.inv_tau_jitter
+    width = params.big_gamma
     if params.n_atoms:
         width += params.gamma_perp
     lo = min(params.omega_c, params.omega_a) - 10.0 * width

@@ -37,6 +37,8 @@ _OPTION_TYPES = {
 
 # one number in a data row or a header value: 17 significant digits
 _FLOAT = "%.16e"
+# most points of a --grid, checked before any array is made
+_MAX_GRID_POINTS = 10**6
 
 
 def _fmt(value: float) -> str:
@@ -51,8 +53,9 @@ def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"grid must be min:max:n, got {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
-        raise ParameterError(f"grid needs finite min < max and n >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and 2 <= n <= _MAX_GRID_POINTS):
+        raise ParameterError(f"grid needs finite min < max and 2 <= n <= "
+                             f"{_MAX_GRID_POINTS}, got {text!r}")
     if log_spaced:
         if lo <= 0:
             raise ParameterError("log-spaced grid needs min > 0")
@@ -216,15 +219,9 @@ def cmd_spectrum(args) -> int:
 # --- wigner -------------------------------------------------------------------
 
 def _default_cutoff(params: SystemParams, omega_l: float) -> int:
-    """Starting cavity cutoff from the closed-form photon number."""
-    try:
-        n_cav = analytic.steady_state_summary(params, omega_l).photon_number
-    except ParameterError:
-        # atoms plus jitter: bound by the empty-cavity jitter ratio
-        empty = params.replace(n_atoms=0)
-        ratio = analytic.steady_state_summary(empty, omega_l).coherence_ratio
-        n_cav = abs(analytic.mean_field(params, omega_l)) ** 2 * ratio
-    return int(4.0 * n_cav) + 8
+    """Starting cavity cutoff from the photon number of the moment oracle,
+    which covers every noise channel."""
+    return int(4.0 * moments.steady_state(params, omega_l).s3) + 8
 
 
 def cmd_wigner(args) -> int:
@@ -378,6 +375,9 @@ def main(argv=None) -> int:
             return 0
         except (ParameterError, BudgetError, SingularSystemError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OverflowError as exc:
+            print(f"error: the config overflows a double: {exc}", file=sys.stderr)
             return 2
 
 

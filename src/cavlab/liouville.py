@@ -43,8 +43,8 @@ the dephasing channel, on one propagation.
 
 Every generator build, steady_state call, probe scan and rung of the
 cavity-cutoff scan logs what it did at DEBUG level on this module's logger.
-The Hilbert-space dimension is capped by a budget, overridable through
-CAVLAB_BUDGET.
+The Hilbert-space dimension, the exact integer product of the dims, is
+capped by a budget, overridable through CAVLAB_BUDGET.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from scipy.sparse.linalg import norm as spnorm
 
 from .analytic import SpectrumResult
 from .errors import BudgetError, ParameterError, SingularSystemError
-from .model import SystemParams
+from .model import SystemParams, derive
 from .moments import MomentState
 
 __all__ = [
@@ -166,7 +166,7 @@ class SpaceSpec:
 
     @property
     def dimension(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def check_budget(self) -> "SpaceSpec":
         budget = dimension_budget()
@@ -194,12 +194,10 @@ def _lowering(dims: tuple[int, ...], site: int) -> sp.csr_matrix:
 
 def _system_operators(params: SystemParams, omega_l: float, space: SpaceSpec
                       ) -> tuple[sp.csr_matrix, list[sp.csr_matrix]]:
-    """System Hamiltonian in the frame rotating at the drive frequency, and
-    the collapse operators: cavity leak, cavity jitter, per-emitter decay and
-    dephasing, collective dephasing (present only when the rate is nonzero).
-
-    The emitters couple to the cavity through their collective lowering
-    operator L = sum_j l_j, as g (L^dagger a + L a^dagger)."""
+    """System Hamiltonian in the frame rotating at the drive frequency, with
+    the detunings of model.derive and the drive params.drive, and the collapse
+    operators: cavity leak, cavity jitter, per-emitter decay and dephasing,
+    collective dephasing (present only when the rate is nonzero)."""
     if space.n_atoms != params.n_atoms:
         raise ParameterError("build_liouvillian: space.n_atoms != params.n_atoms")
     dims, emitters = space.dims, range(1, 1 + params.n_atoms)
@@ -208,9 +206,8 @@ def _system_operators(params: SystemParams, omega_l: float, space: SpaceSpec
     lows = [_lowering(dims, s) for s in emitters]
     collective = sum(lows, sp.csr_matrix(a.shape, dtype=complex))
     excitations = levels[1:1 + params.n_atoms].sum(axis=0)
-    drive = math.sqrt(2.0 * params.kappa1) * params.beta
-    h = (sp.diags((params.omega_c - omega_l) * levels[0]
-                  + (params.omega_a - omega_l) * excitations)
+    d, drive = derive(params, omega_l), params.drive
+    h = (sp.diags(d.delta_c * levels[0] + d.delta_a * excitations)
          + 1j * (drive * a.conj().T - np.conj(drive) * a)
          + params.g * (collective.conj().T @ a + collective @ a.conj().T))
     jumps = [math.sqrt(2.0 * params.kappa) * a]
@@ -262,8 +259,7 @@ class TruncatedState:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dim = int(np.prod(self.dims))
-        if self.rho.shape != (dim, dim):
+        if self.rho.shape != (math.prod(self.dims),) * 2:
             raise ParameterError("TruncatedState: matrix shape does not match dims")
 
     def trace(self) -> complex:
@@ -279,6 +275,8 @@ class TruncatedState:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
     def check(self) -> "TruncatedState":
+        if not np.isfinite(self.rho).all():
+            raise SingularSystemError("state is not finite")
         if abs(self.trace() - 1.0) > 1e-10:
             raise SingularSystemError("state trace deviates from 1")
         if self.hermiticity_residual() > 1e-10:
@@ -332,9 +330,10 @@ def _constrained(gen: sp.spmatrix, trace: np.ndarray) -> tuple[sp.csc_matrix, np
 
 
 def _residual(gen: sp.spmatrix, x: np.ndarray, diagonal: np.ndarray | None = None) -> float:
-    """max |(gen + diag(diagonal)) x| / max |x|, without forming the sum."""
+    """max |(gen + diag(diagonal)) x| / max |x| without forming the sum, inf if not finite."""
     gx = gen @ x if diagonal is None else gen @ x + diagonal * x
-    return float(np.max(np.abs(gx)) / max(np.max(np.abs(x)), 1e-300))
+    finite = np.isfinite(x).all() and np.isfinite(gx).all()
+    return float(np.max(np.abs(gx)) / max(np.max(np.abs(x)), 1e-300)) if finite else math.inf
 
 
 def _refined_solve(lu, a: sp.spmatrix, b: np.ndarray, gen: sp.spmatrix,
@@ -393,7 +392,7 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     does not halve that residual, or after _GMRES_CYCLES, or when a sector
     block is singular.
     """
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     gen = gen.tocsr()
     reps, labels = _permutation_orbits(gen, dims)
     expand = sp.csr_matrix((np.ones(labels.size), (np.arange(labels.size), labels)))
@@ -426,7 +425,7 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
         record.residual = residual
         if residual <= _BLOCK_TOL:
             return x
-        if residual > 0.5 * previous:
+        if residual > 0.5 * previous or residual == math.inf:
             break
     return None
 
@@ -521,7 +520,7 @@ def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
 
 def _takes_direct_solve(dims: tuple[int, ...]) -> bool:
     """Whether a space is small enough, or a single mode, for an exact LU."""
-    return int(np.prod(dims)) <= _DIRECT_SOLVE_LIMIT or len(dims) == 1
+    return math.prod(dims) <= _DIRECT_SOLVE_LIMIT or len(dims) == 1
 
 
 def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
@@ -534,7 +533,7 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
     stalls.  Each call logs a _SolveRecord at DEBUG
     level.
     """
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     if gen.shape != (dim * dim, dim * dim):
         raise ParameterError("steady_state: generator shape does not match dims")
     start = time.perf_counter()
@@ -553,8 +552,7 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
 
 
 def _state_from_vector(x: np.ndarray, dims: tuple[int, ...]) -> TruncatedState:
-    dim = int(np.prod(dims))
-    rho = x.reshape(dim, dim)
+    rho = x.reshape(math.prod(dims), -1)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     return TruncatedState(rho, dims).check()
@@ -570,7 +568,7 @@ def expectation(state: TruncatedState, observable) -> complex:
 def reduce_cavity(state: TruncatedState) -> TruncatedState:
     """Partial trace over everything but the cavity mode."""
     d0 = state.dims[0]
-    rest = int(np.prod(state.dims[1:])) if len(state.dims) > 1 else 1
+    rest = math.prod(state.dims[1:])
     rho = state.rho.reshape(d0, rest, d0, rest)
     return TruncatedState(np.einsum("arbr->ab", rho), (d0,))
 
@@ -876,7 +874,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     The generator maps rho^dagger to (L rho)^dagger, so only the rho_01 half
     of Q is solved and rho_10 is its mirror.
     """
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     probe = _levels(dims)[-1]
     ket, bra = np.repeat(probe, dim), np.tile(probe, dim)
     shift = -1j * (ket - bra)
@@ -916,10 +914,9 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
                     record.sweeps += 1
                     record.most_sweeps = max(record.most_sweeps, sweep)
                     residual = _residual(gen_fixed, x, diag)
-                    slow = residual > 0.5 * previous
                     # the residual at this rate after the sweeps left
                     reach = residual * (residual / previous) ** (_BLOCK_SWEEPS - sweep)
-                    if slow or reach > _BLOCK_TOL:
+                    if not (residual <= 0.5 * previous and reach <= _BLOCK_TOL):
                         break
                     previous = residual
             except RuntimeError:

@@ -13,9 +13,10 @@ Conventions used throughout the package:
   inverse rates, where exact ``0.0`` encodes an inactive channel, so the
   printed limit cases of the analytic results hold bit-for-bit.
 * ``beta`` is the coherent drive amplitude; ``|beta|**2`` is the incoming
-  photon flux.  Frequencies (``omega_c``, ``omega_a`` and every drive
-  frequency ``omega_l``) share one rotating frame, so they may equally be
-  given as absolute values or as detunings from any common reference.
+  photon flux; it drives the cavity field through mirror 1 at
+  ``SystemParams.drive``.  Frequencies (``omega_c``, ``omega_a`` and every
+  drive frequency ``omega_l``) share one rotating frame, so they may equally
+  be given as absolute values or as detunings from any common reference.
 """
 from __future__ import annotations
 
@@ -84,6 +85,11 @@ class SystemParams:
         """Damping rate of the mean cavity field: jitter plus mirror losses."""
         return self.inv_tau_jitter + self.kappa
 
+    @property
+    def drive(self) -> complex:
+        """Drive of the cavity field, sqrt(2 kappa1) beta, through mirror 1."""
+        return math.sqrt(2.0 * self.kappa1) * self.beta
+
     def replace(self, **changes) -> "SystemParams":
         """A copy with fields changed, given as in the JSON form (None: channel off)."""
         data = params_to_dict(self)
@@ -120,6 +126,10 @@ def validate(params: SystemParams) -> None:
     ]
     for name, ok in checks:
         if not ok:
+            raise ParameterError(f"invalid parameter: {name}")
+    # sums and inverses of valid fields can still overflow
+    for name in ("kappa", "gamma_perp", "big_gamma"):
+        if not math.isfinite(getattr(params, name)):
             raise ParameterError(f"invalid parameter: {name}")
 
 

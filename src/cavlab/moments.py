@@ -29,7 +29,7 @@ import numpy as np
 
 from .analytic import SpectrumResult
 from .errors import ParameterError, SingularSystemError
-from .model import SystemParams
+from .model import SystemParams, derive
 
 __all__ = [
     "MomentState",
@@ -73,29 +73,24 @@ class MomentState:
 
 def derivative(params: SystemParams, omega_l: float | np.ndarray,
                state: MomentState) -> MomentState:
-    """Time derivative of the reduced moment set; ``omega_l`` and the
+    """Time derivative of the reduced moment set, the mean field driven at
+    ``params.drive`` and damped at ``params.big_gamma``; ``omega_l`` and the
     fields of ``state`` may be arrays, which broadcast."""
-    n = params.n_atoms
-    kappa = params.kappa
-    gp = params.gamma_perp
-    g = params.g
-    delta_c = params.omega_c - omega_l
-    delta_a = params.omega_a - omega_l
-    drive = math.sqrt(2.0 * params.kappa1) * params.beta
-    gamma_c = kappa + params.inv_tau_jitter       # mean-field cavity damping
+    n, g, gp, drive = params.n_atoms, params.g, params.gamma_perp, params.drive
+    d = derive(params, omega_l)
 
-    ds1 = -(gamma_c + 1j * delta_c) * state.s1 - 1j * g * n * state.s2 + drive
+    ds1 = -(params.big_gamma + 1j * d.delta_c) * state.s1 - 1j * g * n * state.s2 + drive
     ds3 = (
-        -2.0 * kappa * state.s3
+        -2.0 * params.kappa * state.s3
         + 2.0 * (drive * state.s1.conjugate()).real
         + 2.0 * g * n * state.s4.imag
     )
     if n == 0:
         return MomentState(ds1, 0j, ds3, 0j, 0.0, 0.0)
 
-    ds2 = -(gp + 1j * delta_a) * state.s2 - 1j * g * state.s1
+    ds2 = -(gp + 1j * d.delta_a) * state.s2 - 1j * g * state.s1
     ds4 = (
-        -(gamma_c + gp + 1j * (delta_a - delta_c)) * state.s4
+        -(params.big_gamma + gp + 1j * d.delta_ac) * state.s4
         + drive.conjugate() * state.s2
         - 1j * g * state.s3
         + 1j * g * (state.s5 + (n - 1) * state.s6)
@@ -271,10 +266,9 @@ def intensity_from_state(params: SystemParams, state: MomentState) -> tuple[floa
     flux = abs(params.beta) ** 2
     if flux == 0.0:
         raise ParameterError("intensity_from_state: drive amplitude is zero")
-    drive = math.sqrt(2.0 * params.kappa1) * params.beta
     big_r = (
         2.0 * params.kappa1 * state.s3
-        - 2.0 * (drive * state.s1.conjugate()).real
+        - 2.0 * (params.drive * state.s1.conjugate()).real
         + flux
     ) / flux
     big_t = 2.0 * params.kappa2 * state.s3 / flux
@@ -283,8 +277,7 @@ def intensity_from_state(params: SystemParams, state: MomentState) -> tuple[floa
 
 def energy_balance_residual(params: SystemParams, state: MomentState) -> float:
     """Relative mismatch of photon outflow vs drive work in the steady state."""
-    drive = math.sqrt(2.0 * params.kappa1) * params.beta
-    inflow = 2.0 * (drive * state.s1.conjugate()).real
+    inflow = 2.0 * (params.drive * state.s1.conjugate()).real
     outflow = 2.0 * params.kappa * state.s3 + params.n_atoms * params.gamma_par * state.s5
     scale = max(abs(inflow), abs(outflow), 1e-300)
     return abs(inflow - outflow) / scale

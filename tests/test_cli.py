@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavlab import cli, validation
+from cavlab import analytic, cli, moments, validation
 from cavlab.errors import BudgetError
 from cavlab.model import params_from_dict
 
@@ -350,17 +350,83 @@ def test_wigner_cutoff_scan_that_runs_out_of_rungs_says_where_it_stopped(
         "(dimension 21 of budget 512)\n")
 
 
-def test_wigner_with_emitters_and_jitter_starts_from_the_jitter_bound(tmp_path):
-    # no closed form covers emitters plus jitter: the starting cutoff comes
-    # from |<a_c>|**2 times the empty-cavity ratio 1 + 1/(kappa tau_jit) = 1.5
+ATOMS_JITTER = {"g": 1.0, "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5, "omega_c": 0.0,
+                "omega_a": 0.0, "gamma_par": 2.0, "tau_jitter": 2.0, "beta": 0.5}
+
+
+def test_wigner_with_emitters_and_jitter_starts_from_the_moment_photon_number(tmp_path):
+    # no closed form covers emitters plus jitter; the moment oracle does, and
+    # its 0.056 photons give the starting cutoff 8
     cfg = tmp_path / "atoms_jitter.json"
-    cfg.write_text(json.dumps({
-        "g": 1.0, "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5, "omega_c": 0.0,
-        "omega_a": 0.0, "gamma_par": 2.0, "tau_jitter": 2.0, "beta": 0.5}))
+    cfg.write_text(json.dumps(ATOMS_JITTER))
     config, _, _, data = _run(
         ["wigner", "--config", str(cfg), "--grid=-3:3:11"], tmp_path / "w.csv")
     assert config["cutoff"] == 8
     assert data.shape == (121, 3)
+
+
+@pytest.mark.parametrize("omega_l", [-3.0, 0.0, 0.7])
+def test_default_cutoff_is_four_moment_photons_plus_eight(omega_l):
+    for params in (params_from_dict(ATOMS_JITTER),
+                   params_from_dict(json.loads(Path(JITTER).read_text()))):
+        s3 = moments.steady_state(params, omega_l).s3
+        assert cli._default_cutoff(params, omega_l) == int(4 * s3) + 8
+
+
+@pytest.mark.parametrize("config", [RESONANT, DEPHASED, JITTER])
+def test_default_cutoff_equals_the_closed_form_rule_on_the_shipped_configs(config):
+    params = params_from_dict(json.loads(Path(config).read_text()))
+    for omega_l in np.linspace(-10.0, 10.0, 201):
+        n_cav = analytic.steady_state_summary(params, omega_l).photon_number
+        assert cli._default_cutoff(params, omega_l) == int(4.0 * n_cav) + 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--cutoff", "3"],
+    ["spectrum", "--method", "probe", "--grid=-1:1:3"],
+], ids=["wigner", "spectrum-probe"])
+def test_a_dimension_beyond_64_bits_is_a_budget_error(tmp_path, monkeypatch, capsys, argv):
+    # 31 emitters of 4 levels and a cavity of 4 or more: the product of the
+    # dims wraps to 0 or below in 64-bit integers
+    monkeypatch.delenv("CAVLAB_BUDGET", raising=False)
+    cfg = tmp_path / "many.json"
+    cfg.write_text(json.dumps({**json.loads(Path(DEPHASED).read_text()), "n_atoms": 31}))
+    assert cli.main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds budget 512" in err
+
+
+def test_a_grid_above_the_point_limit_is_refused_before_any_array(
+        tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a grid array was made")
+
+    monkeypatch.setattr(cli.np, "linspace", never)
+    assert cli.main(["profile", "--config", JITTER, "--grid=0:1:100000000000",
+                     "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid needs finite min < max and 2 <= n <= 1000000, "
+        "got '0:1:100000000000'\n")
+    monkeypatch.undo()
+    assert cli._parse_grid("0:1:1000000").size == 1_000_000
+
+
+@pytest.mark.parametrize("rate, argv, message", [
+    (1e160, ["profile"], "overflows a double"),
+    (1e160, ["spectrum"], "overflows a double"),
+    (1e308, ["spectrum", "--method", "moments"], "invalid parameter: kappa"),
+])
+def test_extreme_rates_are_config_errors(tmp_path, capsys, rate, argv, message):
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps({**json.loads(Path(JITTER).read_text()),
+                               "kappa1": rate, "kappa2": rate}))
+    out = tmp_path / "out.csv"
+    assert cli.main([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_height_scan_stays_below_cooperativity(tmp_path):

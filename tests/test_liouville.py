@@ -14,7 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import eval_laguerre
 
 from cavlab import analytic, liouville, moments
-from cavlab.errors import BudgetError, ParameterError
+from cavlab.errors import BudgetError, ParameterError, SingularSystemError
 from cavlab.liouville import SpaceSpec, TruncatedState
 from cavlab.model import SystemParams
 
@@ -61,6 +61,14 @@ def test_space_spec_dimensions():
 def test_space_spec_rejects(kwargs):
     with pytest.raises(ParameterError):
         SpaceSpec(**kwargs)
+
+
+def test_the_dimension_is_exact_beyond_64_bits(monkeypatch):
+    monkeypatch.delenv("CAVLAB_BUDGET", raising=False)
+    space = SpaceSpec(cavity_cutoff=3, n_atoms=31, atom_cutoff=3)
+    assert space.dimension == 2**64
+    with pytest.raises(BudgetError, match=f"dimension {2**64} exceeds"):
+        space.check_budget()
 
 
 def test_budget_env_override(monkeypatch):
@@ -225,7 +233,26 @@ def test_state_checks():
         TruncatedState(np.eye(3, dtype=complex), (2,))
 
 
+def test_a_non_finite_state_fails_its_check():
+    with pytest.raises(SingularSystemError, match="not finite"):
+        TruncatedState(np.full((2, 2), np.nan + 0j), (2,)).check()
+
+
+class _NanLU:
+    """A factorization whose every solve is NaN."""
+
+    def solve(self, b):
+        return np.full(b.shape, np.nan + 0j)
+
+
 # --- steady-state solves --------------------------------------------------------
+
+def test_a_direct_solve_that_yields_nan_raises(monkeypatch):
+    gen = liouville.build_liouvillian(_empty(beta=0.5), 0.0, SpaceSpec(4, 0))
+    monkeypatch.setattr(liouville, "splu", lambda a, **kwargs: _NanLU())
+    with pytest.raises(SingularSystemError, match="residual inf"):
+        liouville._direct_steady(gen, 5)
+
 
 def test_jitter_coherence_ratio():
     p = _empty(beta=2.0, tau_jitter=1.0)      # 1/(kappa tau_jit) = 1, <a_c> = 1
@@ -334,6 +361,21 @@ def test_stalled_sector_solve_falls_back_to_direct(monkeypatch, caplog):
     record = caplog.records[-1].solve
     assert record.method == "sector→direct"
     assert record.iterations > 0 and record.residual <= 1e-10
+
+
+def test_a_sector_solve_that_yields_nan_falls_back_after_one_cycle(monkeypatch):
+    p, space = _strong_two_level()
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    cycles = []
+
+    def nan_gmres(a, b, **kwargs):
+        cycles.append(b)
+        return np.full(b.shape, np.nan + 0j), 0
+
+    monkeypatch.setattr(liouville, "gmres", nan_gmres)
+    direct = _count_calls(monkeypatch, "_direct_steady")
+    liouville.steady_state(gen, space.dims).check()
+    assert len(cycles) == 1 and len(direct) == 1
 
 
 def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):
@@ -699,6 +741,31 @@ def test_probe_stops_sweeps_that_cannot_converge(monkeypatch):
     assert max(per_point.values()) <= 3
     assert len(residuals) == sum(per_point.values()) + 1 + grid.size
     monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)
+    full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
+    assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])
+
+
+def test_a_probe_point_whose_sweep_yields_nan_is_solved_directly(monkeypatch, caplog):
+    p = _empty(beta=1.0, tau_jitter=1.0)
+    grid = np.array([0.1])
+    kwargs = dict(epsilon=0.01, kappa_p=1e-2 / math.pi,
+                  space=SpaceSpec(cavity_cutoff=9, n_atoms=0, probe_enabled=True))
+    exact = liouville.splu
+    factored = []
+
+    def splu(a, **kwargs):
+        # the third factorization is the point's coherence block
+        factored.append(a.shape)
+        return _NanLU() if len(factored) == 3 else exact(a, **kwargs)
+
+    monkeypatch.setattr(liouville, "splu", splu)
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    swept = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
+    record = caplog.records[-1].probe
+    assert len(factored) == 4
+    assert record.sweeps == 1 and record.fallbacks == 1
+    monkeypatch.setattr(liouville, "splu", exact)
+    monkeypatch.setattr(liouville, "_BLOCK_SWEEPS", 0)   # every point direct
     full = liouville.probe_spectrum(p, 0.0, grid, **kwargs)
     assert np.array_equal(swept.meta["total_density"], full.meta["total_density"])
 

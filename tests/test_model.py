@@ -51,6 +51,23 @@ def test_no_mirror_coupling_rejected():
         _figure_params(kappa1=0.0, kappa2=0.0)
 
 
+@pytest.mark.parametrize("changes, name", [
+    (dict(kappa1=1e308, kappa2=1e308), "kappa"),
+    (dict(tau_indiv=1e-320), "gamma_perp"),
+    (dict(tau_jitter=1e-320), "big_gamma"),
+])
+def test_derived_rates_that_overflow_are_rejected(changes, name):
+    with pytest.raises(ParameterError, match=f"invalid parameter: {name}$"):
+        _figure_params(**changes)
+
+
+def test_drive_enters_through_mirror_one():
+    p = _figure_params(kappa1=0.08, kappa2=3.0, beta=0.5 - 2j)
+    assert p.drive == pytest.approx(0.4 * (0.5 - 2j), rel=1e-15)
+    assert mean_field(p, 0.0) * (p.big_gamma + p.g**2 * p.n_atoms / p.gamma_perp) == \
+        pytest.approx(p.drive, rel=1e-15)
+
+
 def test_one_sided_cavity_allowed():
     p = _figure_params(kappa1=1.0, kappa2=0.0)
     assert p.kappa == 1.0
