@@ -8,10 +8,11 @@ assume the low-excitation (linearised emitter) regime; their validity is
 diagnosed by ``p_exc`` and checked against the numerical oracles in
 :mod:`cavlab.moments` and :mod:`cavlab.liouville`.
 
-The incoherent photon fraction enters through a single dimensionless height
-``h``: the photon number is ``(1 + h * L(delta_a)) * |<a_c>|**2`` with
-``L`` a unit-height Lorentzian of width ``gamma_perp`` in the emitter
-detuning.  ``h`` is bounded by the cooperativity, and in the
+Every formula covers all four noise channels.  The photon number is
+``(1 + h_jit + h * L(delta_a)) * |<a_c>|**2``, with ``L`` a unit-height
+Lorentzian of width ``gamma_perp`` in the emitter detuning.  Cavity jitter
+gives ``h_jit``, which is ``1/(kappa tau_jit)`` without emitters; emitter
+dephasing gives the height ``h``, bounded by the cooperativity, and in the
 lifetime-dominated regime by a bound linear in the dephasing rates.
 
 :func:`steady_state_summary` is the one closed-form steady state, with or
@@ -87,14 +88,6 @@ class SpectrumResult:
         return float(np.trapezoid(self.incoherent_density, self.grid))
 
 
-def _require_no_jitter(params: SystemParams, what: str) -> None:
-    if params.inv_tau_jitter != 0.0:
-        raise ParameterError(
-            f"{what}: closed forms for n_atoms >= 1 assume the cavity jitter "
-            "channel is off (use the moments or liouville oracle instead)"
-        )
-
-
 def _field_denominator(params: SystemParams, omega_l: float) -> complex:
     """Denominator of the mean cavity field.
 
@@ -133,22 +126,24 @@ def dephasing_fraction(params: SystemParams) -> float:
     return it + ic * n * (it / n + half_gamma) / (it + half_gamma)
 
 
-def _height_and_determinant(params: SystemParams) -> tuple[HeightReport, float]:
-    """The height report and the determinant of the reduced 2x2 system.
+def _height_and_determinant(params: SystemParams) -> tuple[HeightReport, float, float]:
+    """The height report, the reduced 2x2 system's determinant and h_jit.
 
     The steady-state p_exc and photon number solve a closed 2x2 linear
     system whose right-hand side is proportional to ``|<a_c>|**2``.  Its
-    determinant does not depend on the drive frequency; both the height and
-    the emitter excitation divide by it.  The emitters enter it through
+    determinant does not depend on the drive frequency; both heights and the
+    emitter excitation divide by it.  The cross moment decays at
+    ``K = big_gamma + gamma_perp``: with jitter off, K is exactly
+    ``kappa + gamma_perp`` and ``h_jit`` is 0.0.  The emitters enter through
     ``q = sum_kj <a_k^dag a_j> / (N p_exc)``, which is
     ``(1 + N gamma_par tau / 2) / (1 + gamma_par tau / 2)``, written in
     inverse rates so that an inactive individual-dephasing channel gives the
-    limit N.  Requires n_atoms >= 1 and the jitter channel off.
+    limit N.  Requires n_atoms >= 1.
     """
     kappa, gp = params.kappa, params.gamma_perp
     g2 = params.g**2
     n = params.n_atoms
-    big_k = kappa + gp
+    big_k = params.big_gamma + gp
     delta_ac = params.omega_a - params.omega_c
     it = params.inv_tau_indiv
     half_gamma = params.gamma_par / 2.0
@@ -159,54 +154,56 @@ def _height_and_determinant(params: SystemParams) -> tuple[HeightReport, float]:
         + 4.0 * kappa * g2 * big_k * (q + n * params.gamma_par / (2.0 * kappa))
     )
     h = 4.0 * g2**2 * n * big_k * frac / (gp**2 * det)
+    h_jit = params.inv_tau_jitter * (
+        2.0 * params.gamma_par * (big_k**2 + delta_ac**2) + 4.0 * g2 * big_k * q) / det
     coop = g2 * n / (kappa * gp)
     lifetime_bound = (2.0 * coop / params.gamma_par) * (
         params.inv_tau_common + params.inv_tau_indiv / n
     )
     return HeightReport(
         height=h, cooperativity=coop, lifetime_bound=lifetime_bound, fraction=frac,
-    ), det
+    ), det, h_jit
 
 
 def lorentzian_height(params: SystemParams) -> HeightReport:
     """Height h of the incoherent photon-number Lorentzian, with bounds.
 
     ``h`` is the drive-frequency-independent prefactor defined by
-    ``photon_number = (1 + h gamma_perp**2/(gamma_perp**2 + delta_a**2))
-    * |<a_c>|**2``; it is obtained by evaluating the incoherent term of the
+    ``photon_number = (1 + h_jit + h gamma_perp**2/(gamma_perp**2 + delta_a**2))
+    * |<a_c>|**2``; it is obtained by evaluating the dephasing term of the
     photon number on emitter resonance and dividing out the Lorentzian.
     """
     if params.n_atoms < 1:
         raise ParameterError("lorentzian_height: requires n_atoms >= 1")
-    _require_no_jitter(params, "lorentzian_height")
     return _height_and_determinant(params)[0]
 
 
-def steady_state_summary(params: SystemParams, omega_l: float) -> SteadyStateSummary:
-    """Closed-form steady state: mean field, photon number and p_exc.
+def _excess_and_p_exc(params: SystemParams, omega_l, w) -> tuple[float, float]:
+    """The excess ``h_jit + h L(delta_a)`` of the coherence ratio over 1,
+    and p_exc, for a mean field of power ``w``."""
+    if params.n_atoms == 0:
+        return params.inv_tau_jitter / params.kappa, 0.0
+    report, det, h_jit = _height_and_determinant(params)
+    d = derive(params, omega_l)
+    kappa, gp = params.kappa, params.gamma_perp
+    g2 = params.g**2
+    big_k = params.big_gamma + gp
+    lor_den = gp**2 + d.delta_a**2
+    # not (1 - h/C): that is 0/0 for uncoupled emitters (g = 0)
+    p_exc = (
+        (2.0 * g2 * w * (gp / params.gamma_par) / lor_den)
+        * (1.0 - 4.0 * kappa * g2 * big_k * report.fraction / (gp * det))
+        + 4.0 * g2 * big_k * w * params.inv_tau_jitter / det
+    )
+    return h_jit + report.height * gp**2 / lor_den, p_exc
 
-    Without emitters only cavity jitter makes light incoherent, and the
-    coherence ratio is ``1 + 1/(kappa tau_jit)``.  With emitters the jitter
-    channel must be off; the ratio is ``1 + h L(delta_a)``.
-    """
+
+def steady_state_summary(params: SystemParams, omega_l: float) -> SteadyStateSummary:
+    """Closed-form steady state: mean field, photon number and p_exc."""
     a = mean_field(params, omega_l)
     w = abs(a) ** 2
-    if params.n_atoms == 0:
-        ratio = 1.0 + params.inv_tau_jitter / params.kappa
-        p_exc = 0.0
-    else:
-        _require_no_jitter(params, "steady_state_summary")
-        report, det = _height_and_determinant(params)
-        d = derive(params, omega_l)
-        kappa, gp = params.kappa, params.gamma_perp
-        g2 = params.g**2
-        lor_den = gp**2 + d.delta_a**2
-        ratio = 1.0 + report.height * gp**2 / lor_den
-        # not (1 - h/C): that is 0/0 for uncoupled emitters (g = 0)
-        p_exc = (
-            (2.0 * g2 * w * (gp / params.gamma_par) / lor_den)
-            * (1.0 - 4.0 * kappa * g2 * (kappa + gp) * report.fraction / (gp * det))
-        )
+    excess, p_exc = _excess_and_p_exc(params, omega_l, w)
+    ratio = 1.0 + excess
     return SteadyStateSummary(
         omega_l=omega_l, mean_field=a, photon_number=ratio * w,
         p_exc=p_exc, coherence_ratio=ratio,
@@ -217,7 +214,11 @@ def field_coefficients(params: SystemParams, omega_l: float) -> tuple[complex, c
     """Amplitude reflection and transmission (r, t) of the mean field."""
     den = _field_denominator(params, omega_l)
     r = 2.0 * params.kappa1 / den - 1.0
-    t = 2.0 * math.sqrt(params.kappa1 * params.kappa2) / den
+    product = params.kappa1 * params.kappa2
+    # rates above about 1e154 overflow the product; the split root rounds apart
+    root = math.sqrt(product) if math.isfinite(product) else (
+        math.sqrt(params.kappa1) * math.sqrt(params.kappa2))
+    t = 2.0 * root / den
     return r, t
 
 
@@ -253,27 +254,25 @@ def emission_spectrum(params: SystemParams, omega_l: float,
 
     The incoherent part integrates to ``photon_number - |<a_c>|**2``; the
     coherent line at the drive frequency carries ``|<a_c>|**2`` and is kept
-    as a scalar.
+    as a scalar.  By the quantum regression theorem the incoherent part is
+    ``(1/pi) Re[(d3 c_a - i g N d4) / (c_c c_a + g**2 N)]`` with
+    ``c_c = big_gamma + i (omega_c - omega)``, ``c_a = gamma_perp +
+    i (omega_a - omega)`` and d3, d4 the incoherent parts of the photon
+    number and the cross moment.  The photon balance fixes ``g N Im d4 =
+    kappa d3 - |<a_c>|**2 / tau_jit`` and the cross moment's own equation
+    ``Re d4 = (omega_a - omega_c) Im d4 / (big_gamma + gamma_perp)``.
     """
     grid = np.asarray(grid, dtype=float)
     summary = steady_state_summary(params, omega_l)
     w = abs(summary.mean_field) ** 2
-    if params.n_atoms == 0:
-        gam = params.big_gamma
-        weight = params.inv_tau_jitter / params.kappa
-        density = (gam / math.pi) / (gam**2 + (params.omega_c - grid) ** 2) * weight * w
-    else:
-        d = derive(params, omega_l)
-        kappa, gp = params.kappa, params.gamma_perp
-        g2n = params.g**2 * params.n_atoms
-        big_k = kappa + gp
-        # Unit-area spectral shape: dressed-mode resonances of the coupled system.
-        numer = big_k * (kappa * gp + g2n) + kappa * gp * d.delta_ac**2 / big_k
-        q = g2n + (kappa + 1j * (params.omega_c - grid)) * (gp + 1j * (params.omega_a - grid))
-        shape = numer / (math.pi * np.abs(q) ** 2)
-        height = lorentzian_height(params).height
-        weight = height * gp**2 / (gp**2 + d.delta_a**2)
-        density = shape * weight * w
+    d3 = w * _excess_and_p_exc(params, omega_l, w)[0]
+    tilt = (params.omega_a - params.omega_c) / (params.big_gamma + params.gamma_perp)
+    cross = (1.0 - 1j * tilt) * (params.kappa * d3 - w * params.inv_tau_jitter)
+    c_a = params.gamma_perp + 1j * (params.omega_a - grid)
+    c_c = params.big_gamma + 1j * (params.omega_c - grid)
+    resolvent = (d3 * c_a + cross) / (c_c * c_a + params.g**2 * params.n_atoms)
+    # + 0.0 turns the -0.0 of noise-free light into 0.0
+    density = resolvent.real / math.pi + 0.0
     return SpectrumResult(
         omega_l=omega_l, grid=grid, incoherent_density=density,
         coherent_power=w, method="analytic",

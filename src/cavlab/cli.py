@@ -119,6 +119,8 @@ def _emit(args, params: SystemParams, options: dict, header: dict,
     config = {"command": args.command, **params_to_dict(params),
               **dict(sorted(options.items()))}
     rows = np.column_stack(np.broadcast_arrays(*columns))
+    if not np.isfinite(rows).all():
+        raise OverflowError("the table has a non-finite entry")
     if args.format == "json":
         doc = {"config": config, "header": header, "columns": names,
                "rows": rows.tolist()}
@@ -197,9 +199,14 @@ def cmd_spectrum(args) -> int:
     else:
         solve = (analytic.emission_spectrum if method == "analytic"
                  else moments.regression_spectrum)
-        result = solve(params, omega_l, grid)
+        # a grid so wide that products of its frequencies overflow gives
+        # non-finite densities, which _emit refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = solve(params, omega_l, grid)
         width = options.setdefault("render_width", 1e-2 / math.pi)
-    line = width / math.pi / ((grid - omega_l) ** 2 + width ** 2)
+    # where the square overflows, the line is below 1e-300 of its peak: 0
+    with np.errstate(over="ignore"):
+        line = width / math.pi / ((grid - omega_l) ** 2 + width ** 2)
     rendered = result.incoherent_density + result.coherent_power * line
 
     total = result.incoherent_power() + result.coherent_power

@@ -48,6 +48,7 @@ capped by a budget, overridable through CAVLAB_BUDGET.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
@@ -299,13 +300,29 @@ class _SolveRecord:
     iterations: int = 0       # GMRES iterations
     residual: float = math.nan
     seconds: float = 0.0
+    error: str = ""           # text of the error a failed solve raised
 
     def __str__(self) -> str:
         return (f"steady_state {self.method}: dimension {self.dimension}, "
                 f"{self.sectors} sectors, {self.unknowns} unknowns, "
                 f"largest block {self.largest_block}, "
                 f"fill {self.fill}, {self.iterations} GMRES iterations, "
-                f"residual {self.residual:.2e}, {self.seconds:.3f} s")
+                f"residual {self.residual:.2e}, {self.seconds:.3f} s"
+                + (f", failed: {self.error}" if self.error else ""))
+
+
+@contextlib.contextmanager
+def _logged(record, key: str, start: float):
+    """Log record at DEBUG level, under attribute key, as the block ends:
+    with the seconds since start and, if the block raised, the error text."""
+    try:
+        yield
+    except Exception as exc:
+        record.error = str(exc)
+        raise
+    finally:
+        record.seconds = time.perf_counter() - start
+        _log.debug("%s", record, extra={key: record})
 
 
 def _trace_row(dim: int) -> np.ndarray:
@@ -530,24 +547,23 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
     sparse LU solve with the trace constraint replacing one row.  Above it:
     GMRES over the orbits of identical emitters, preconditioned by the
     excitation sectors (see _sector_steady), and the direct solve if that
-    stalls.  Each call logs a _SolveRecord at DEBUG
-    level.
+    stalls.  Each call logs a _SolveRecord at DEBUG level, a failed one
+    with the error it raised.
     """
     dim = math.prod(dims)
     if gen.shape != (dim * dim, dim * dim):
         raise ParameterError("steady_state: generator shape does not match dims")
     start = time.perf_counter()
     record = _SolveRecord("direct", dim, largest_block=dim * dim)
-    if _takes_direct_solve(dims):
-        x = _direct_steady(gen, dim, record)
-    else:
-        record.method = "sector"
-        x = _sector_steady(gen, dims, record)
-        if x is None:
-            record.method = "sector→direct"
+    with _logged(record, "solve", start):
+        if _takes_direct_solve(dims):
             x = _direct_steady(gen, dim, record)
-    record.seconds = time.perf_counter() - start
-    _log.debug("%s", record, extra={"solve": record})
+        else:
+            record.method = "sector"
+            x = _sector_steady(gen, dims, record)
+            if x is None:
+                record.method = "sector→direct"
+                x = _direct_steady(gen, dim, record)
     return _state_from_vector(x, dims)
 
 
@@ -752,6 +768,7 @@ class _ProbeRecord:
     bare_residual: float = math.nan   # of the steady state without the probe
     backaction: float = 0.0   # largest probe amplitude over epsilon * |<a>|
     seconds: float = 0.0
+    error: str = ""           # text of the error a failed scan raised
 
     def __str__(self) -> str:
         return (f"probe_spectrum: {self.points} points, "
@@ -759,7 +776,8 @@ class _ProbeRecord:
                 f"(at most {self.most_sweeps} at a point), "
                 f"{self.fallbacks} direct fallbacks, "
                 f"bare residual {self.bare_residual:.2e}, "
-                f"worst back-action {self.backaction:.2f}, {self.seconds:.3f} s")
+                f"worst back-action {self.backaction:.2f}, {self.seconds:.3f} s"
+                + (f", failed: {self.error}" if self.error else ""))
 
 
 def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
@@ -777,7 +795,8 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     generator is built per call.  Raises BudgetError before any solve when
     the space without the probe, the size of each block of the exact solve,
     fails the direct-solve rule, or the space with the probe exceeds the
-    dimension budget.  Each call logs a _ProbeRecord at DEBUG level.
+    dimension budget.  Each call that builds the generator logs a
+    _ProbeRecord at DEBUG level, a failed one with the error it raised.
     """
     start = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
@@ -807,22 +826,21 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
         extra_jumps=(math.sqrt(2.0 * kappa_p) * a_p,),
     )
     record = _ProbeRecord(points=grid.size)
-    bare, states = _probe_steady_states(gen_fixed, grid - omega_l, dims, record)
-    mean_field = expectation(bare, _lowering(base.dims, 0))
-    photon_number = float(bare.rho.diagonal().real @ _levels(base.dims)[0])
-    coherent_power = abs(mean_field) ** 2
+    with _logged(record, "probe", start):
+        bare, states = _probe_steady_states(gen_fixed, grid - omega_l, dims, record)
+        mean_field = expectation(bare, _lowering(base.dims, 0))
+        photon_number = float(bare.rho.diagonal().real @ _levels(base.dims)[0])
+        coherent_power = abs(mean_field) ** 2
 
-    density = np.empty(grid.size)
-    probe_level = _levels(dims)[-1]
-    for k, state in enumerate(states):
-        occupation = float(state.rho.diagonal().real @ probe_level)
-        density[k] = occupation / (math.pi * kappa_p * epsilon ** 2)
-        probe_amp = abs(expectation(state, a_p))
-        if coherent_power > 0.0:
-            record.backaction = max(
-                record.backaction, probe_amp / (epsilon * math.sqrt(coherent_power)))
-    record.seconds = time.perf_counter() - start
-    _log.debug("%s", record, extra={"probe": record})
+        density = np.empty(grid.size)
+        probe_level = _levels(dims)[-1]
+        for k, state in enumerate(states):
+            occupation = float(state.rho.diagonal().real @ probe_level)
+            density[k] = occupation / (math.pi * kappa_p * epsilon ** 2)
+            probe_amp = abs(expectation(state, a_p))
+            if coherent_power > 0.0:
+                record.backaction = max(
+                    record.backaction, probe_amp / (epsilon * math.sqrt(coherent_power)))
     if record.backaction > 2.0:
         warnings.warn(
             f"probe_spectrum: probe amplitude reached {record.backaction:.2f}x "

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cavlab import analytic
-from cavlab.errors import ParameterError
 from cavlab.model import SystemParams, derive
 
 
@@ -59,14 +58,6 @@ def test_uncoupled_emitters_leave_the_empty_cavity_state():
         a = analytic.steady_state_summary(uncoupled, om)
         assert a == analytic.steady_state_summary(empty, om)
         assert a.p_exc == 0.0 and a.coherence_ratio == 1.0
-
-
-def test_closed_forms_reject_jitter_with_atoms():
-    p = _params(tau_jitter=2.0, beta=0.1)
-    with pytest.raises(ParameterError, match="steady_state_summary: .*jitter"):
-        analytic.steady_state_summary(p, 0.0)
-    with pytest.raises(ParameterError, match="jitter"):
-        analytic.lorentzian_height(p)
 
 
 # --- field and intensity coefficients ---------------------------------------

@@ -5,6 +5,7 @@ import logging
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,14 +356,25 @@ ATOMS_JITTER = {"g": 1.0, "n_atoms": 1, "kappa1": 0.5, "kappa2": 0.5, "omega_c":
 
 
 def test_wigner_with_emitters_and_jitter_starts_from_the_moment_photon_number(tmp_path):
-    # no closed form covers emitters plus jitter; the moment oracle does, and
-    # its 0.056 photons give the starting cutoff 8
+    # the moment oracle's 0.056 photons give the starting cutoff 8
     cfg = tmp_path / "atoms_jitter.json"
     cfg.write_text(json.dumps(ATOMS_JITTER))
     config, _, _, data = _run(
         ["wigner", "--config", str(cfg), "--grid=-3:3:11"], tmp_path / "w.csv")
     assert config["cutoff"] == 8
     assert data.shape == (121, 3)
+
+
+def test_closed_forms_cover_emitters_with_jitter(tmp_path):
+    cfg = tmp_path / "atoms_jitter.json"
+    cfg.write_text(json.dumps(ATOMS_JITTER))
+    _, _, columns, data = _run(["profile", "--config", str(cfg), "--grid=-6:6:25",
+                                "--method", "moments"], tmp_path / "p.csv")
+    for name in ("R", "T", "n_cav", "abs_mean_field_sq", "p_exc"):
+        closed, mom = data[:, columns.index(name)], data[:, columns.index(name + "_mom")]
+        assert np.max(np.abs(closed - mom) / np.abs(closed)) < 1e-9
+    _run(["height-scan", "--config", str(cfg)], tmp_path / "h.csv")
+    _run(["spectrum", "--config", str(cfg)], tmp_path / "s.csv")
 
 
 @pytest.mark.parametrize("omega_l", [-3.0, 0.0, 0.7])
@@ -427,6 +439,19 @@ def test_extreme_rates_are_config_errors(tmp_path, capsys, rate, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+def test_moment_spectrum_at_extreme_rates_is_finite_and_quiet(tmp_path):
+    # the coherent line's far wings, where the squared frequency overflows,
+    # render as 0 without a warning
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps({**json.loads(Path(JITTER).read_text()),
+                               "kappa1": 1e160, "kappa2": 1e160}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, _, data = _run(["spectrum", "--config", str(cfg), "--method", "moments"],
+                             tmp_path / "s.csv")
+    assert data.shape == (2001, 3) and np.isfinite(data).all()
 
 
 def test_height_scan_stays_below_cooperativity(tmp_path):

@@ -272,6 +272,23 @@ def test_hp_oracle_matches_moment_oracle():
     assert np.max(np.abs(mstate.packed() - ref.packed())) < 1e-6 * scale
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_weak_drive_with_every_channel_matches_moments_and_closed_forms(n_atoms):
+    # individual and common dephasing and cavity jitter at once, each at a
+    # rate near the others; the cavity and emitter truncations leave 3.2e-7
+    p = _params(n_atoms=n_atoms, tau_indiv=0.5, tau_common=2.0, tau_jitter=3.0)
+    omega_l = 0.4
+    mstate, _, _ = liouville.converged_moment_state(
+        p, omega_l, SpaceSpec(cavity_cutoff=3, n_atoms=n_atoms, atom_cutoff=2))
+    ref = moments.steady_state(p, omega_l)
+    scale = np.max(np.abs(ref.packed()))
+    assert np.max(np.abs(mstate.packed() - ref.packed())) <= 1e-5 * scale
+    closed = analytic.steady_state_summary(p, omega_l)
+    assert abs(mstate.s1 - closed.mean_field) <= 1e-5 * abs(closed.mean_field)
+    assert abs(mstate.s3 - closed.photon_number) <= 1e-5 * closed.photon_number
+    assert abs(mstate.s5 - closed.p_exc) <= 1e-5 * closed.p_exc
+
+
 @pytest.mark.parametrize("space", [
     SpaceSpec(cavity_cutoff=2, n_atoms=3, atom_cutoff=2),                    # dim 81
     SpaceSpec(cavity_cutoff=2, n_atoms=3, atom_model="two_level"),           # dim 24
@@ -376,6 +393,46 @@ def test_a_sector_solve_that_yields_nan_falls_back_after_one_cycle(monkeypatch):
     direct = _count_calls(monkeypatch, "_direct_steady")
     liouville.steady_state(gen, space.dims).check()
     assert len(cycles) == 1 and len(direct) == 1
+
+
+def _failing_splu(monkeypatch, exact_calls: int) -> None:
+    """Let the first exact_calls factorizations through, then fail each."""
+    exact, calls = liouville.splu, []
+
+    def splu(a, **kwargs):
+        calls.append(a.shape)
+        if len(calls) > exact_calls:
+            raise RuntimeError("Factor is exactly singular")
+        return exact(a, **kwargs)
+
+    monkeypatch.setattr(liouville, "splu", splu)
+
+
+def test_a_failed_solve_logs_its_record(monkeypatch, caplog):
+    gen = liouville.build_liouvillian(_empty(beta=0.5), 0.0, SpaceSpec(4, 0))
+    _failing_splu(monkeypatch, 0)
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    with pytest.raises(SingularSystemError, match="sparse LU failed") as failure:
+        liouville.steady_state(gen, (5,))
+    record = caplog.records[-1].solve
+    assert record.method == "direct" and record.error == str(failure.value)
+    assert caplog.records[-1].getMessage().endswith(
+        ", failed: steady_state: sparse LU failed: Factor is exactly singular")
+
+
+def test_a_failed_probe_fallback_logs_the_scan_record(monkeypatch, caplog):
+    # the two population blocks factor; the point's coherence block and its
+    # direct fallback do not
+    p = _empty(beta=1.0, tau_jitter=1.0)
+    space = SpaceSpec(cavity_cutoff=4, n_atoms=0, probe_enabled=True)
+    _failing_splu(monkeypatch, 2)
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    with pytest.raises(SingularSystemError, match="sparse LU failed") as failure:
+        liouville.probe_spectrum(p, 0.0, np.array([0.1]), epsilon=0.01, space=space)
+    record = caplog.records[-1].probe
+    assert record.factorizations == 2 and record.fallbacks == 0
+    assert record.error == str(failure.value)
+    assert "failed: steady_state: sparse LU failed" in caplog.records[-1].getMessage()
 
 
 def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):

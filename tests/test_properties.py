@@ -44,10 +44,10 @@ OMEGAS = np.linspace(-6.0, 6.0, 11)
 
 @st.composite
 def emitter_params(draw, decades: float, atoms=(1, 2, 3, 5, 20)) -> SystemParams:
-    """A record with emitters and without jitter: every rate in
-    10**-decades..10**decades (the gate's domain is 2 decades), each
-    dephasing channel on or off, detunings in [-5, 5], a complex drive and
-    an emitter number from ``atoms``."""
+    """A record with emitters: every rate in 10**-decades..10**decades (the
+    gate's domain is 2 decades), each dephasing channel and cavity jitter on
+    or off, detunings in [-5, 5], a complex drive and an emitter number from
+    ``atoms``."""
     rate = st.floats(-decades, decades).map(lambda e: 10.0 ** e)
     channel = st.one_of(st.none(), rate.map(lambda r: 1.0 / r))
     return SystemParams(
@@ -55,6 +55,7 @@ def emitter_params(draw, decades: float, atoms=(1, 2, 3, 5, 20)) -> SystemParams
         kappa1=draw(rate), kappa2=draw(rate), gamma_par=draw(rate),
         omega_c=draw(st.floats(-5.0, 5.0)), omega_a=draw(st.floats(-5.0, 5.0)),
         tau_indiv=draw(channel) or math.inf, tau_common=draw(channel) or math.inf,
+        tau_jitter=draw(channel) or math.inf,
         beta=complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 2.0))),
     )
 
@@ -93,7 +94,7 @@ def test_resolvent_spectrum_matches_closed_form(p, omega_l):
     grid = analytic.spectrum_grid(p)
     s = moments.regression_spectrum(p, omega_l, grid).incoherent_density
     ref = analytic.emission_spectrum(p, omega_l, grid).incoherent_density
-    if not ref.any():        # no dephasing: all light is in the coherent line
+    if not ref.any():        # no noise: all light is in the coherent line
         assert not s.any()
         return
     mask = ref > 0.01 * ref.max()
