@@ -270,7 +270,15 @@ def emission_spectrum(params: SystemParams, omega_l: float,
     cross = (1.0 - 1j * tilt) * (params.kappa * d3 - w * params.inv_tau_jitter)
     c_a = params.gamma_perp + 1j * (params.omega_a - grid)
     c_c = params.big_gamma + 1j * (params.omega_c - grid)
-    resolvent = (d3 * c_a + cross) / (c_c * c_a + params.g**2 * params.n_atoms)
+    coupling = params.g**2 * params.n_atoms
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = c_c * c_a + coupling
+    # rates or frequencies above about 1e154 overflow the product; there the
+    # form divided by c_a stays finite
+    far = ~np.isfinite(den)
+    resolvent = np.empty_like(den)
+    resolvent[~far] = (d3 * c_a[~far] + cross) / den[~far]
+    resolvent[far] = (d3 + cross / c_a[far]) / (c_c[far] + coupling / c_a[far])
     # + 0.0 turns the -0.0 of noise-free light into 0.0
     density = resolvent.real / math.pi + 0.0
     return SpectrumResult(

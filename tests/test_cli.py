@@ -427,7 +427,6 @@ def test_a_grid_above_the_point_limit_is_refused_before_any_array(
 
 @pytest.mark.parametrize("rate, argv, message", [
     (1e160, ["profile"], "overflows a double"),
-    (1e160, ["spectrum"], "overflows a double"),
     (1e308, ["spectrum", "--method", "moments"], "invalid parameter: kappa"),
 ])
 def test_extreme_rates_are_config_errors(tmp_path, capsys, rate, argv, message):
@@ -439,6 +438,18 @@ def test_extreme_rates_are_config_errors(tmp_path, capsys, rate, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+def test_analytic_spectrum_at_extreme_rates_matches_the_moment_spectrum(tmp_path):
+    # c_c * c_a overflows across the grid; the form divided by c_a does not
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps({**json.loads(Path(JITTER).read_text()),
+                               "kappa1": 1e160, "kappa2": 1e160}))
+    _, _, _, closed = _run(["spectrum", "--config", str(cfg)], tmp_path / "a.csv")
+    _, _, _, oracle = _run(["spectrum", "--config", str(cfg), "--method", "moments"],
+                           tmp_path / "m.csv")
+    assert closed.shape == (2001, 3) and np.isfinite(closed).all()
+    assert np.max(np.abs(closed - oracle)) <= 1e-12 * np.max(np.abs(oracle[:, 1:]))
 
 
 def test_moment_spectrum_at_extreme_rates_is_finite_and_quiet(tmp_path):

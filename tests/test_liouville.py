@@ -641,6 +641,35 @@ def test_wigner_far_from_the_origin(alpha):
     assert np.max(np.abs(grid.w - exact)) <= 1e-9
 
 
+def _random_state(dim: int, seed: int) -> TruncatedState:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return TruncatedState(rho / np.trace(rho), (dim,))
+
+
+SYMMETRIC = np.linspace(-2.0, 2.0, 9)
+
+
+@pytest.mark.parametrize("dim, xs, ps", [
+    (12, SYMMETRIC, SYMMETRIC),
+    (12, SYMMETRIC, np.linspace(-1.5, 1.5, 7)),
+    (12, np.linspace(-1.5, 2.5, 9), np.linspace(-2.0, 1.0, 7)),
+    # past |alpha| = 19.3 the running pairs of dimension 60 pass _WIGNER_RESCALE
+    (60, np.array([-19.5, -3.0, 19.5]), np.array([-2.0, 0.0, 2.0, 5.0])),
+])
+def test_wigner_grid_equals_point_by_point_evaluation(dim, xs, ps):
+    # the grid runs the recurrence once per distinct radius; each point's W
+    # is still the one a 1 x 1 grid gives, bit for bit
+    state = _random_state(dim, 7)
+    radii = np.abs(2.0 * (xs[:, None] + 1j * ps[None, :]))
+    assert np.unique(radii).size < radii.size
+    grid = liouville.wigner(state, xs, ps).w
+    single = [[liouville.wigner(state, xs[[i]], ps[[j]]).w[0, 0] for j in range(len(ps))]
+              for i in range(len(xs))]
+    assert np.array_equal(grid, np.array(single))
+
+
 def test_wigner_jitter_photon_number_from_grid():
     p = _empty(beta=2.0, tau_jitter=1.0)
     _, trunc, _ = liouville.converged_moment_state(

@@ -330,6 +330,40 @@ def _two_propagation_distance(gen, operator, diffusion, initial, t_end, n_traj, 
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
 
 
+def _decaying_cavity(dim):
+    p = SystemParams(g=0.0, n_atoms=0, kappa1=0.5, kappa2=0.5, omega_c=0.0,
+                     omega_a=0.0, gamma_par=1.0, beta=0.0)
+    return liouville.build_liouvillian(p, 0.0, SpaceSpec(cavity_cutoff=dim - 1, n_atoms=0))
+
+
+def _pure_dephasing(dim, seed=5):
+    # diagonal, so the kick of any real diagonal operator commutes with it
+    rng = np.random.default_rng(seed)
+    energies = rng.uniform(-3.0, 3.0, dim)
+    rates = rng.uniform(0.0, 2.0, (dim, dim))
+    return sp.diags((-1j * (energies[:, None] - energies[None, :]) - (rates + rates.T)).ravel())
+
+
+@pytest.mark.parametrize("lam, generator", [
+    (np.arange(17.0), _decaying_cavity),
+    # unequal level spacings whose slope steps repeat: slopes 0, 0.5, ..., 2.5
+    # are one step of 0.5 apart, and slopes 0, 1, 2, 3, 4.5, 6.5, 7.5 three
+    # distinct steps
+    (np.array([0.0, 0.5, 1.0, 2.5]), _pure_dephasing),
+    (np.array([0.0, 1.0, 3.0, 7.5]), _pure_dephasing),
+])
+def test_stochastic_check_at_the_criterion_size_matches_one_exponential_per_slope(
+        lam, generator):
+    # the criterion's D = 2, T = 1 and 16,000 trajectories: the running
+    # products of step factors against one exp(-i sqrt(D) W s) per slope
+    gen = generator(len(lam))
+    amp = liouville.coherent_vector(2.0, len(lam))
+    kwargs = dict(diffusion=2.0, initial=np.outer(amp, amp.conj()), t_end=1.0,
+                  n_traj=16000, seed=20260815)
+    assert abs(liouville.stochastic_dephasing_check(gen, np.diag(lam), **kwargs)
+               - _two_propagation_distance(gen, np.diag(lam), **kwargs)) <= 1e-12
+
+
 @st.composite
 def commuting_noise(draw):
     """A generator, a real diagonal noise operator whose kick commutes with it,
@@ -337,19 +371,12 @@ def commuting_noise(draw):
     operator, or pure dephasing with a non-equally spaced diagonal operator."""
     if draw(st.booleans()):
         dim = draw(st.integers(2, 5))
-        p = SystemParams(g=0.0, n_atoms=0, kappa1=0.5, kappa2=0.5, omega_c=0.0,
-                         omega_a=0.0, gamma_par=1.0, beta=0.0)
-        gen = liouville.build_liouvillian(p, 0.0, SpaceSpec(cavity_cutoff=dim - 1,
-                                                             n_atoms=0))
+        gen = _decaying_cavity(dim)
         lam = np.arange(dim, dtype=float)
     else:
         lam = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5)))
         dim = len(lam)
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        energies = rng.uniform(-3.0, 3.0, dim)
-        rates = rng.uniform(0.0, 2.0, (dim, dim))
-        gen = sp.diags((-1j * (energies[:, None] - energies[None, :])
-                        - (rates + rates.T)).ravel())
+        gen = _pure_dephasing(dim, draw(st.integers(0, 2 ** 32 - 1)))
     amp = draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=dim,
                         max_size=dim).filter(lambda z: np.linalg.norm(z) > 0.1))
     amp = np.array(amp) / np.linalg.norm(amp)
