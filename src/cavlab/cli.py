@@ -5,12 +5,14 @@ resolved configuration (a ``# config:`` comment line in CSV, a sibling
 ``config`` object in JSON): the command, the physics parameters and every
 option the command used, defaults included.  A file therefore regenerates
 from itself: write that object to a file and pass it as ``--config`` to the
-same command; a config naming another command is refused.  Numbers are
-written with 17 significant digits.  The coherent delta line of a spectrum
-is rendered to a finite-width Lorentzian only here; the library keeps it as
-an exact scalar.  The probe method's ``s_incoherent`` is the total probe
-density minus that Lorentzian, so on an empty cavity near the drive
-frequency it keeps about 3 fewer significant digits than the total.
+same command; a config naming another command is refused.  Header values,
+and CSV rows, are written with 17 significant digits; JSON rows in the
+shortest form that reads back to the same double (``json.dumps``).  The
+coherent delta line of a spectrum is rendered to a finite-width Lorentzian
+only here; the library keeps it as an exact scalar.  The probe method's
+``s_incoherent`` is the total probe density minus that Lorentzian, so on an
+empty cavity near the drive frequency it keeps about 3 fewer significant
+digits than the total.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ _OPTION_TYPES = {
     "render_width": float, "epsilon": float, "kappa_p": float,
 }
 
-# one number in a data row or a header value: 17 significant digits
+# one number in a header value or a CSV data row: 17 significant digits
 _FLOAT = "%.16e"
 # most points of a --grid, checked before any array is made
 _MAX_GRID_POINTS = 10**6
@@ -292,13 +294,16 @@ def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else validation.DEFAULT_SEED
     results = validation.run_all(seed=seed)
     for result in results:
-        # wall time goes to stderr only, so the JSON report stays seed-fixed
+        # wall time goes to stderr and to the report's timings alone
         budget = "" if result.budget_seconds is None else f" of {result.budget_seconds:.0f} s"
         print(f"{result.line()} [{result.seconds:.1f} s{budget}]", file=sys.stderr)
     doc = {
         "seed": seed,
         "all_passed": all(r.passed or r.skipped for r in results),
         "results": [r.to_dict() for r in results],
+        # apart from the keys above, which the seed fixes bit for bit
+        "timings": [{"name": r.name, "seconds": r.seconds,
+                     "budget_seconds": r.budget_seconds} for r in results],
     }
     _write(args, json.dumps(doc, indent=2) + "\n")
     if any(r.crashed for r in results):

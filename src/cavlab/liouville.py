@@ -21,20 +21,27 @@ H_eff, summed in one conversion to CSR.
 
 Steady states.  The generator with one row replaced by the trace
 constraint is solved by sparse LU up to Hilbert dimension 32, and for a
-single mode at any size.  Above it, restarted GMRES solves it on one unknown
-per orbit of the emitter permutations the generator commutes with,
-preconditioned by a block Gauss-Seidel sweep over excitation sectors (every
-term but the cavity drive conserves the ket's minus the bra's quanta).  A
-solve that stalls above a residual of 1e-14 falls back to the LU.
+single mode at any size.  The generator maps rho^dagger to (L rho)^dagger
+and the trace row is real, so that system is real on the real coordinates
+of a Hermitian matrix (diagonal, real and imaginary parts of the upper
+triangle), and the LU is taken in real arithmetic, with about a third of
+the bytes of a complex one.  Above the limit, restarted GMRES solves it on
+one unknown per orbit of the emitter permutations the generator commutes
+with, preconditioned by a block Gauss-Seidel sweep over excitation sectors
+(every term but the cavity drive conserves the ket's minus the bra's
+quanta), in complex arithmetic, as a sector k != 0 holds no Hermitian
+matrix.  A solve that stalls above a residual of 1e-14 falls back to the
+LU.
 
 Probe.  The weak-probe spectrum splits the constrained system into the
-probe populations, factored once per scan, and the probe coherences,
-factored per point; block Gauss-Seidel sweeps solve each point, and a point
-whose sweeps stall above a residual of 1e-14 is solved directly.  The
-populations' rho_00 block, the probe in its ground state, is the
-constrained generator of the system without the probe, so its LU also
-gives the bare steady state that sets the coherent line.  The space without
-the probe must pass the LU's size rule.
+probe populations, Hermitian operators on the system and factored once per
+scan in real arithmetic, and the probe coherences, which are not Hermitian,
+factored per point in complex arithmetic; block Gauss-Seidel sweeps solve
+each point, and a point whose sweeps stall above a residual of 1e-14 is
+solved directly.  The populations' rho_00 block, the probe in its ground
+state, is the constrained generator of the system without the probe, so its
+LU also gives the bare steady state that sets the coherent line.  The space
+without the probe must pass the LU's size rule.
 
 Wigner.  The exact Fock-basis (Laguerre) recurrence along each diagonal.
 
@@ -88,18 +95,24 @@ DEFAULT_DIMENSION_BUDGET = 512
 # Largest Hilbert dimension of a composite space for the plain sparse LU;
 # the sector solve runs above it, and the probe spectrum, each of whose blocks
 # costs that LU, refuses a system without the probe above it.  Measured on one
-# core, LU against sector solve: 6 against 10 ms at dimension 24, 18-20 against
-# 13-14 ms at 32, 0.4 against 0.03 s at 54, and 54-108 s (1.2 GB peak) against
-# 0.2-0.4 s at 108.  The LU of a single mode (a generator on a 2D grid) stays
-# sparse and takes 0.04 s at dimension 81, where the sector solve of a strongly
-# driven cavity with jitter stalls near a residual of 1e-9.
+# core with the real LU (two two-level emitters at 24 and 32, one hp emitter at
+# 32, three or two hp emitters at 54; individual dephasing), LU against sector
+# solve: 5 against 9-10 ms at dimension 24, 8-13 against 12-17 ms at 32, and
+# 0.11-0.18 against 0.013-0.026 s at 54; a complex LU took 6 ms, 15-34 ms and
+# 0.38-0.55 s, and 54-108 s (1.2 GB peak) at 108.  The limit stays at 32 so
+# that each space keeps its path.  The LU of a single mode (a generator on a
+# 2D grid) stays sparse and takes 0.02-0.03 s at dimension 81, where the
+# sector solve of a strongly driven cavity with jitter stalls near a residual
+# of 1e-9.
 _DIRECT_SOLVE_LIMIT = 32
 _DIRECT_TOL = 1e-10          # relative residual of a direct steady state
 _BLOCK_SWEEPS = 10           # most block Gauss-Seidel sweeps per probe point
 _BLOCK_TOL = 1e-14           # residual at which a block or sector solve is accepted
 # Largest change of a generator entry, relative to its largest, under a swap
-# of two emitters that still counts them identical.  Sums of the same terms
-# in another order differ by a few ulps; a real asymmetry is far larger.
+# of two emitters that still counts them identical, and largest imaginary
+# part of a diagonal row of the real LU (see _HermitianLU).  Sums of the
+# same terms in another order differ by a few ulps; a real asymmetry is far
+# larger.
 _SYMMETRY_TOL = 1e-13
 _GMRES_RESTART = 20          # iterations per restart cycle of the sector solve
 _GMRES_CYCLES = 5            # most restart cycles before the direct fallback
@@ -296,7 +309,7 @@ class _SolveRecord:
     unknowns: int = 0         # size of the system solved: dimension**2 unreduced
     sectors: int = 1
     largest_block: int = 0    # unknowns in the largest factored block
-    fill: int = 0             # entries of every LU factor formed
+    fill: int = 0             # entries of every LU factor formed, real ones for a real factor
     iterations: int = 0       # GMRES iterations
     residual: float = math.nan
     seconds: float = 0.0
@@ -369,13 +382,99 @@ def _refined_solve(lu, a: sp.spmatrix, b: np.ndarray, gen: sp.spmatrix,
     return x, residual
 
 
+def _hermitian_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real coordinates of a Hermitian n x n matrix vectorized row-major: the
+    diagonal, then the real parts of the upper triangle row by row, then
+    their imaginary parts.  For every entry, the coordinate of its real part,
+    that of its imaginary part and the sign s of x_ij = re + i s im (s = 0 on
+    the diagonal, whose imaginary coordinate is its real one)."""
+    i, j = np.divmod(np.arange(n * n, dtype=np.int32), n)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    pair = n + lo * n - lo * (lo + 1) // 2 + hi - lo - 1
+    return (np.where(i == j, i, pair), np.where(i == j, i, pair + n * (n - 1) // 2),
+            np.sign(j - i))
+
+
+def _real_system(a: sp.spmatrix, coordinates: tuple[np.ndarray, ...],
+                 caller: str) -> sp.csc_matrix:
+    """a on the real coordinates of a Hermitian unknown (see _HermitianLU)."""
+    re, im, sign = coordinates
+    coo = a.tocoo(copy=False)
+    upper = sign[coo.row] >= 0
+    row, col, v = coo.row[upper], coo.col[upper], coo.data[upper]
+    off = sign[col] != 0
+    row = np.concatenate([row, row[off]])
+    w = np.concatenate([v, 1j * sign[col[off]] * v[off]])
+    col = np.concatenate([re[col], im[col[off]]])
+    imaginary = sign[row] != 0
+    dropped = sp.csr_matrix((w.imag[~imaginary], (re[row[~imaginary]], col[~imaginary])),
+                            shape=a.shape)
+    if abs(dropped).max() > _SYMMETRY_TOL * np.abs(coo.data).max(initial=0.0):
+        raise SingularSystemError(
+            f"{caller}: the generator does not map rho^dagger to (L rho)^dagger")
+    real = sp.csc_matrix((np.concatenate([w.real, w.imag[imaginary]]),
+                          (np.concatenate([re[row], im[row[imaginary]]]),
+                           np.concatenate([col, col[imaginary]]))), shape=a.shape)
+    # the real parts of -i H and the like: about half the entries
+    real.eliminate_zeros()
+    return real
+
+
+class _HermitianLU:
+    """Sparse LU, in real arithmetic, of a constrained generator whose
+    unknown is a Hermitian n x n matrix; like scipy's SuperLU it has solve
+    and nnz.
+
+    The generator maps rho^dagger to (L rho)^dagger and the trace row is
+    real, so on the real coordinates of _hermitian_coordinates the system is
+    real (the coherence-vector picture of Alicki and Lendi, Lect. Notes
+    Phys. 286 (1987)).  Column c of the real matrix holds those coordinates
+    of the image of coordinate c: an entry v of a adds v to the column of a
+    real part and i s v to that of an imaginary part, and of the image's
+    upper triangle the real parts fill the real rows, the imaginary parts
+    the imaginary rows.  The rows of the lower triangle repeat the upper
+    ones and are dropped, and so are the imaginary parts of the diagonal
+    rows, which must be zero to _SYMMETRY_TOL of the largest entry of a
+    (SingularSystemError if not).  solve takes a right-hand side Hermitian to
+    rounding and returns an exactly Hermitian solution.  Equal matrices in
+    canonical form, as every CSC matrix from a conversion is, give equal
+    factors bit for bit.
+    """
+
+    def __init__(self, a: sp.spmatrix, n: int, caller: str):
+        self._coordinates = _hermitian_coordinates(n)
+        sign = self._coordinates[2]
+        self._upper, self._off = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
+        # built in its own frame, whose temporaries are freed before the LU
+        real = _real_system(a, self._coordinates, caller)
+        try:
+            self.factor = splu(real)
+        except RuntimeError as exc:
+            raise SingularSystemError(f"{caller}: sparse LU failed: {exc}") from exc
+
+    @property
+    def nnz(self) -> int:
+        return self.factor.nnz
+
+    def to_real(self, x: np.ndarray) -> np.ndarray:
+        re, im, _ = self._coordinates
+        y = np.empty(x.size)
+        y[re[self._upper]] = x.real[self._upper]
+        y[im[self._off]] = x.imag[self._off]
+        return y
+
+    def from_real(self, y: np.ndarray) -> np.ndarray:
+        re, im, sign = self._coordinates
+        return y[re] + 1j * (sign * y[im])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.from_real(self.factor.solve(self.to_real(b)))
+
+
 def _direct_steady(gen: sp.spmatrix, dim: int,
                    record: _SolveRecord | None = None) -> np.ndarray:
     a, b = _constrained(gen, _trace_row(dim))
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"steady_state: sparse LU failed: {exc}") from exc
+    lu = _HermitianLU(a, dim, "steady_state")
     x, residual = _refined_solve(lu, a, b, gen, "steady_state")
     if record is not None:
         record.unknowns = dim * dim
@@ -544,11 +643,13 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
     """Stationary density matrix of the generator.
 
     Up to the direct-solve size limit, and for a single mode at any size: a
-    sparse LU solve with the trace constraint replacing one row.  Above it:
-    GMRES over the orbits of identical emitters, preconditioned by the
-    excitation sectors (see _sector_steady), and the direct solve if that
-    stalls.  Each call logs a _SolveRecord at DEBUG level, a failed one
-    with the error it raised.
+    sparse LU solve with the trace constraint replacing one row, in real
+    arithmetic (see _HermitianLU).  Above it: GMRES over the orbits of
+    identical emitters, preconditioned by the excitation sectors (see
+    _sector_steady), and the direct solve if that stalls; if that fails too,
+    its error also names the residual and the GMRES iterations at which the
+    sector solve stopped.  Each call logs a _SolveRecord at DEBUG level, a
+    failed one with the error it raised.
     """
     dim = math.prod(dims)
     if gen.shape != (dim * dim, dim * dim):
@@ -563,7 +664,12 @@ def steady_state(gen: sp.spmatrix, dims: tuple[int, ...]) -> TruncatedState:
             x = _sector_steady(gen, dims, record)
             if x is None:
                 record.method = "sector→direct"
-                x = _direct_steady(gen, dim, record)
+                stalled = (f"the sector solve stopped at residual {record.residual:.2e} "
+                           f"after {record.iterations} GMRES iterations")
+                try:
+                    x = _direct_steady(gen, dim, record)
+                except SingularSystemError as exc:
+                    raise SingularSystemError(f"{exc}; {stalled}") from exc
     return _state_from_vector(x, dims)
 
 
@@ -892,7 +998,7 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     the shifted generator is formed only for a point whose residual ends
     above _BLOCK_TOL, which is solved directly on it.
 
-    Three exact shortcuts cut what is factored.  A_PP is block triangular
+    Four exact shortcuts cut what is factored.  A_PP is block triangular
     (probe decay takes rho_11 to rho_00, nothing takes rho_00 to rho_11), so
     it is solved through the LUs of its rho_11 and rho_00 blocks, rho_11
     first.  With the probe in its ground state on both sides, its coupling,
@@ -900,8 +1006,10 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     generator of the system without the probe, its entries in the same
     order, and the rho_00 block of A_PP that generator constrained: its LU
     solves the bare steady state as _direct_steady does, on rhs b_00 = e_0.
-    The generator maps rho^dagger to (L rho)^dagger, so only the rho_01 half
-    of Q is solved and rho_10 is its mirror.
+    The generator maps rho^dagger to (L rho)^dagger, so rho_11 and rho_00
+    are Hermitian operators on the system and their blocks are factored in
+    real arithmetic (_HermitianLU), and only the rho_01 half of Q, which is
+    not Hermitian, is solved in complex arithmetic, rho_10 being its mirror.
     """
     dim = math.prod(dims)
     probe = _levels(dims)[-1]
@@ -913,13 +1021,11 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()[blocks[2]]
     a, b = _constrained(gen_fixed, _trace_row(dim))
     a = a.tocsr()
-    rest = [np.setdiff1d(np.arange(dim * dim), idx) for idx in blocks]
     diagonal = [a[idx][:, idx].tocsc() for idx in blocks]
+    # before the coupling slices exist, which keeps the scan's memory peak down
+    lu_p = [_HermitianLU(block, dim // 2, "probe_spectrum") for block in diagonal[:2]]
+    rest = [np.setdiff1d(np.arange(dim * dim), idx) for idx in blocks]
     coupling = [a[idx][:, others] for idx, others in zip(blocks, rest)]
-    try:
-        lu_p = [splu(diagonal[0]), splu(diagonal[1])]
-    except RuntimeError as exc:
-        raise SingularSystemError(f"probe_spectrum: sparse LU failed: {exc}") from exc
     record.factorizations = 2
     ground = blocks[1]
     x, record.bare_residual = _refined_solve(

@@ -41,8 +41,9 @@ class CheckResult:
     crashed: bool = False   # raised instead of returning; ``detail`` says what
 
     def to_dict(self) -> dict:
-        # wall-clock time stays out so reports with the same seed compare
-        # bit-for-bit; budget overruns still flip `passed` and mark `detail`
+        # wall-clock time stays out (cavlab validate reports it under its own
+        # key) so results with the same seed compare bit-for-bit; budget
+        # overruns still flip `passed` and mark `detail`
         return {
             "name": self.name,
             "passed": self.passed,

@@ -500,9 +500,11 @@ def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     doc = json.loads(out.read_text())
     assert doc["all_passed"] is True
     assert doc["results"][0]["detail"] == "seed 3"
-    # the wall time is on stderr only
+    # the wall time is on stderr and under timings only
     assert "PASS fake-check: seed 3 [3.0 s of 60 s]" in capsys.readouterr().err
-    assert "3.0" not in out.read_text()
+    assert doc.pop("timings") == [{"name": "fake-check", "seconds": 3.04,
+                                   "budget_seconds": 60.0}]
+    assert "3.0" not in json.dumps(doc)
 
     monkeypatch.setattr(validation, "CRITERIA", _fake_criteria(False))
     assert cli.main(["validate", "--seed", "3", "--out", str(out)]) == 1
@@ -592,8 +594,12 @@ def test_validate_budget_skip_and_reproducibility(tmp_path, monkeypatch):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(["validate", "--seed", "11", "--out", str(first)]) == 0
     assert cli.main(["validate", "--seed", "11", "--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
-    doc = json.loads(first.read_text())
+    doc, again = (json.loads(path.read_text()) for path in (first, second))
+    # everything but the timings is fixed by the seed
+    assert [entry["name"] for entry in doc.pop("timings")] == [
+        entry["name"] for entry in doc["results"]]
+    del again["timings"]
+    assert json.dumps(doc) == json.dumps(again)
     skipped = [r for r in doc["results"] if r["skipped"]]
     assert skipped and all("budget" in r["reason"] for r in skipped)
     for entry in doc["results"]:

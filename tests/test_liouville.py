@@ -420,6 +420,38 @@ def test_a_failed_solve_logs_its_record(monkeypatch, caplog):
         ", failed: steady_state: sparse LU failed: Factor is exactly singular")
 
 
+def test_a_failed_fallback_names_the_stalled_sector_solve(monkeypatch, caplog):
+    p, space = _strong_two_level()
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    monkeypatch.setattr(liouville, "_GMRES_RESTART", 2)
+    _failing_splu(monkeypatch, 0)
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    with pytest.raises(SingularSystemError) as failure:
+        liouville.steady_state(gen, space.dims)
+    record = caplog.records[-1].solve
+    assert record.method == "sector→direct" and record.error == str(failure.value)
+    assert record.iterations > 0 and record.residual > 1e-14
+    assert str(failure.value) == (
+        "steady_state: sparse LU failed: Factor is exactly singular; the sector solve "
+        f"stopped at residual {record.residual:.2e} after {record.iterations} GMRES iterations")
+    assert caplog.records[-1].getMessage().endswith(f", failed: {failure.value}")
+
+
+def test_a_generator_that_breaks_hermiticity_gets_no_state(monkeypatch):
+    p, space = _empty(beta=0.5, tau_jitter=1.0), SpaceSpec(4, 0)
+    a_c = _kron_chain_lowering(space.dims, 0)
+    # i n: the generator keeps rho^dagger -> (L rho)^dagger but loses the trace
+    gen = liouville.build_liouvillian(p, 0.0, space, extra_hamiltonian=0.3j * a_c.conj().T @ a_c)
+    with pytest.raises(SingularSystemError, match="residual .* above tolerance"):
+        liouville.steady_state(gen, space.dims)
+    # i x: no longer Hermiticity-preserving, refused before any factorization
+    factored = _count_calls(monkeypatch, "splu")
+    gen = liouville.build_liouvillian(p, 0.0, space) + 0.3j * sp.identity(25)
+    with pytest.raises(SingularSystemError, match="does not map rho"):
+        liouville.steady_state(gen, space.dims)
+    assert factored == []
+
+
 def test_a_failed_probe_fallback_logs_the_scan_record(monkeypatch, caplog):
     # the two population blocks factor; the point's coherence block and its
     # direct fallback do not

@@ -11,23 +11,26 @@ and a parameter record must survive the JSON round trip, while a
 string, a container, NaN or +-inf in any physics field or command option
 of a config must make the CLI exit 2 with one error line.  On small
 truncated spaces, the one-pass generator of the density-matrix oracle must
-equal the kron-chain reference, the sector-preconditioned steady state, on its own and solved over the orbits of identical
-emitters, must match the direct LU, and the stochastic
-dephasing check without diffusion must be exact at any time, seed and
-trajectory count, and with diffusion must equal the two-propagation
-reference, the Lindblad generator evolved on its own.
+equal the kron-chain reference, the sector-preconditioned steady state, on
+its own and solved over the orbits of identical emitters, must match the
+direct LU, the real LU of a system with a Hermitian unknown must solve as
+the complex LU, and the stochastic dephasing check without diffusion must
+be exact at any time, seed and trajectory count, and with diffusion must
+equal the two-propagation reference, the Lindblad generator evolved on its
+own.
 """
 import contextlib
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, splu
 
 from cavlab import analytic, cli, liouville, moments
 from cavlab.liouville import SpaceSpec
@@ -273,6 +276,46 @@ def test_sector_steady_state_matches_direct(space, tau_indiv, tau_common, tau_ji
     with mock.patch.object(liouville, "_DIRECT_SOLVE_LIMIT", 0):
         swept = liouville.steady_state(gen, space.dims).rho
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@given(space=st.sampled_from(SMALL_SPACES), probe_terms=st.booleans(), squeeze=st.booleans(),
+       g=_gate_rate, kappa1=_gate_rate, kappa2=_gate_rate, gamma_par=_gate_rate,
+       omega_c=st.floats(-5.0, 5.0), omega_a=st.floats(-5.0, 5.0),
+       omega_l=st.floats(-5.0, 5.0), tau_indiv=_gate_time, tau_common=_gate_time,
+       tau_jitter=_gate_time, beta=st.complex_numbers(max_magnitude=2.0))
+def test_real_lu_solves_as_the_complex_lu(space, probe_terms, squeeze, omega_l, tau_indiv,
+                                          tau_common, tau_jitter, **fields):
+    # the constrained generator of the direct solve or, with the probe's
+    # coupling and decay, the probe populations' rho_11 and rho_00 blocks;
+    # each has a Hermitian unknown of the small space's dimension
+    times = dict(tau_indiv=tau_indiv, tau_common=tau_common, tau_jitter=tau_jitter)
+    p = SystemParams(n_atoms=space.n_atoms, **fields,
+                     **{key: value or math.inf for key, value in times.items()})
+    n = space.dimension
+    big = replace(space, probe_enabled=probe_terms)
+    a_c = _kron_chain_lowering(big.dims, 0)
+    extra, jumps = 0.4 * squeeze * (a_c @ a_c + (a_c @ a_c).conj().T), ()
+    if probe_terms:
+        a_p = _kron_chain_lowering(big.dims, len(big.dims) - 1)
+        extra = extra + 0.02 * (a_c.conj().T @ a_p + a_c @ a_p.conj().T)
+        jumps = (math.sqrt(0.02) * a_p,)
+    gen = liouville.build_liouvillian(p, omega_l, big, extra_hamiltonian=extra,
+                                      extra_jumps=jumps)
+    a = liouville._constrained(gen, liouville._trace_row(big.dimension))[0].tocsr()
+    ket, bra = np.divmod(np.arange(big.dimension ** 2), big.dimension)
+    if probe_terms:
+        blocks = [np.flatnonzero((ket % 2 == level) & (bra % 2 == level)) for level in (1, 0)]
+    else:
+        blocks = [np.arange(n * n)]
+    m = np.random.default_rng(n).standard_normal((n, n, 2)) @ [1.0, 1j]
+    hermitian = (m + m.conj().T).ravel()
+    for idx in blocks:
+        block = a[idx][:, idx].tocsc()
+        lu = liouville._HermitianLU(block, n, "test")
+        assert lu.factor.L.dtype == lu.factor.U.dtype == np.float64
+        assert lu.from_real(lu.to_real(hermitian)).tobytes() == hermitian.tobytes()
+        x, ref = lu.solve(hermitian), splu(block).solve(hermitian)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 SYMMETRIC_SPACES = (SpaceSpec(2, 2, "two_level"), SpaceSpec(1, 3, "two_level"),
