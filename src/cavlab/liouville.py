@@ -30,8 +30,11 @@ one unknown per orbit of the emitter permutations the generator commutes
 with, preconditioned by a block Gauss-Seidel sweep over excitation sectors
 (every term but the cavity drive conserves the ket's minus the bra's
 quanta), in complex arithmetic, as a sector k != 0 holds no Hermitian
-matrix.  A solve that stalls above a residual of 1e-14 falls back to the
-LU.
+matrix.  The orbits are laid out sector by sector, so the sweep is a block
+forward substitution over contiguous ranges, and the first restart cycle
+stops once GMRES's own residual estimate is below 1e-15.  The true residual
+decides: a solve is accepted at 1e-14, and one that stalls above it falls
+back to the LU.
 
 Probe.  The weak-probe spectrum splits the constrained system into the
 probe populations, Hermitian operators on the system and factored once per
@@ -115,6 +118,11 @@ _BLOCK_TOL = 1e-14           # residual at which a block or sector solve is acce
 # larger.
 _SYMMETRY_TOL = 1e-13
 _GMRES_RESTART = 20          # iterations per restart cycle of the sector solve
+# GMRES's own residual estimate (a 2-norm over the reduced, preconditioned
+# system) at which the first restart cycle stops; below _BLOCK_TOL, the bar
+# on the full generator's residual, which the gate's sector solves then meet
+# at 2.4e-15 or less after 7-12 iterations.
+_GMRES_ATOL = 1e-15
 _GMRES_CYCLES = 5            # most restart cycles before the direct fallback
 # Incomplete sector factors.  At dimension 162 exact block LUs hold 5.9M
 # entries and peak at 208 MB, these 0.56M at about 110 MB.
@@ -311,6 +319,7 @@ class _SolveRecord:
     largest_block: int = 0    # unknowns in the largest factored block
     fill: int = 0             # entries of every LU factor formed, real ones for a real factor
     iterations: int = 0       # GMRES iterations
+    cycles: int = 0           # GMRES restart cycles run
     residual: float = math.nan
     seconds: float = 0.0
     error: str = ""           # text of the error a failed solve raised
@@ -319,7 +328,8 @@ class _SolveRecord:
         return (f"steady_state {self.method}: dimension {self.dimension}, "
                 f"{self.sectors} sectors, {self.unknowns} unknowns, "
                 f"largest block {self.largest_block}, "
-                f"fill {self.fill}, {self.iterations} GMRES iterations, "
+                f"fill {self.fill}, {self.iterations} GMRES iterations "
+                f"in {self.cycles} cycles, "
                 f"residual {self.residual:.2e}, {self.seconds:.3f} s"
                 + (f", failed: {self.error}" if self.error else ""))
 
@@ -501,8 +511,12 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     exc counting the quanta of cavity, emitters and probe, and so does its
     whole orbit.  Every term of the generator but the cavity drive conserves
     k, and the drive moves it by one, so the constrained generator is block
-    tridiagonal in k; the trace row lies in sector 0.  The result is accepted
-    on the true residual of the full generator, which ends every restart
+    tridiagonal in k; the trace row lies in sector 0.  The orbits are laid
+    out sector by sector in the sweep's order 0, 1, -1, 2, -2, ..., each -k
+    sector as the mirror image of the +k one, so every block is a contiguous
+    range.  The first restart cycle stops once GMRES's own residual estimate
+    is below _GMRES_ATOL, and every later one runs in full.  The result is
+    accepted on the true residual of the full generator, which ends every
     cycle, at _BLOCK_TOL, so a generator that breaks the sector structure
     costs iterations, not accuracy.  The solve gives up after a cycle that
     does not halve that residual, or after _GMRES_CYCLES, or when a sector
@@ -511,13 +525,18 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     dim = math.prod(dims)
     gen = gen.tocsr()
     reps, labels = _permutation_orbits(gen, dims)
-    expand = sp.csr_matrix((np.ones(labels.size), (np.arange(labels.size), labels)))
     exc = _levels(dims).sum(axis=0)
     sector = (exc[:, None] - exc[None, :]).ravel()[reps]
     mirror = labels[np.arange(dim * dim).reshape(dim, dim).T.ravel()[reps]]
+    blocks = [np.flatnonzero(sector == k) for k in range(int(exc.max()) + 1)]
+    order = np.concatenate([blocks[0]] + [s for idx in blocks[1:] for s in (idx, mirror[idx])])
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # orbit 0, entry (0, 0), stays first and keeps the trace row
+    reps, labels = reps[order], position[labels]
+    expand = sp.csr_matrix((np.ones(labels.size), (np.arange(labels.size), labels)))
     a, b = _constrained(gen[reps] @ expand, _trace_row(dim) @ expand)
     a = a.tocsr()
-    blocks = [np.flatnonzero(sector == k) for k in range(int(exc.max()) + 1)]
     record.unknowns = reps.size
     record.sectors = 2 * len(blocks) - 1
     record.largest_block = max(idx.size for idx in blocks)
@@ -525,17 +544,16 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     def count(_):
         record.iterations += 1
 
-    precondition = _sector_preconditioner(a, blocks, mirror, record)
+    precondition = _sector_preconditioner(a, [idx.size for idx in blocks], record)
     if precondition is None:
         return None
     y = np.zeros(reps.size, dtype=complex)
-    residual = np.inf
+    residual, atol = np.inf, _GMRES_ATOL
     for _ in range(_GMRES_CYCLES):
-        # rtol 0: every cycle runs in full, so one that does not halve the
-        # residual has stalled
-        y, _ = gmres(a, b, x0=y, rtol=0.0, atol=0.0, restart=_GMRES_RESTART,
+        y, _ = gmres(a, b, x0=y, rtol=0.0, atol=atol, restart=_GMRES_RESTART,
                      maxiter=1, M=precondition, callback=count,
                      callback_type="pr_norm")
+        record.cycles += 1
         x = y[labels]
         previous, residual = residual, _residual(gen, x)
         record.residual = residual
@@ -543,6 +561,9 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
             return x
         if residual > 0.5 * previous or residual == math.inf:
             break
+        # gmres returns at once from a start already below its tolerance,
+        # which would read as a stall: later cycles run in full
+        atol = 0.0
     return None
 
 
@@ -585,32 +606,24 @@ def _permutation_orbits(gen: sp.csr_matrix, dims: tuple[int, ...]
     return np.unique(np.ravel_multi_index(digits, shape), return_inverse=True)
 
 
-def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
-                           mirror: np.ndarray,
+def _sector_preconditioner(a: sp.csr_matrix, sizes: list[int],
                            record: _SolveRecord) -> LinearOperator | None:
     """One block Gauss-Seidel sweep over the sectors k = 0, 1, -1, 2, -2, ...
-    of the constrained generator a; None if a block is singular.
+    of the constrained generator a, whose unknowns are laid out in that
+    order, sizes[|k|] of them in sector k; None if a block is singular.
 
     Each block is factored incompletely, which caps the fill, and exactly
     if its incomplete factorization fails.
 
-    blocks[k] indexes sector k >= 0, and only those blocks are factored:
-    the generator maps rho^dagger to (L rho)^dagger, so the block of -k is
-    the complex conjugate of the block of k under the transpose permutation
-    mirror, and is solved as conj(F_k^-1 conj(r)), which is linear in r.
+    Only the blocks of k >= 0 are factored: the generator maps rho^dagger
+    to (L rho)^dagger, so with the -k sector laid out as the mirror of the
+    +k one its block is the complex conjugate of the block of k, and is
+    solved as conj(F_k^-1 conj(r)), which is linear in r.
     """
-    def coupling(idx: np.ndarray) -> sp.csr_matrix:
-        """Rows idx of a without their entries inside the sector of idx."""
-        rows = a[idx]
-        inside = np.zeros(a.shape[1], dtype=bool)
-        inside[idx] = True
-        rows.data[inside[rows.indices]] = 0.0
-        rows.eliminate_zeros()
-        return rows
-
-    steps = []
-    for k, idx in enumerate(blocks):
-        block = a[idx][:, idx].tocsc()
+    steps, lo = [], 0
+    for k, size in enumerate(sizes):
+        hi = lo + size
+        block = a[lo:hi, lo:hi].tocsc()
         try:
             factor = spilu(block, permc_spec=_SECTOR_ORDERING, **_SECTOR_ILU)
         except RuntimeError:
@@ -619,16 +632,18 @@ def _sector_preconditioner(a: sp.csr_matrix, blocks: list[np.ndarray],
             except RuntimeError:
                 return None
         record.fill += factor.nnz
-        steps.append((idx, coupling(idx), factor.solve))
+        steps.append((lo, hi, a[lo:hi, :lo], factor.solve))
         if k:
-            steps.append((mirror[idx], coupling(mirror[idx]),
+            lo, hi = hi, hi + size
+            steps.append((lo, hi, a[lo:hi, :lo],
                           lambda r, solve=factor.solve: np.conj(solve(np.conj(r)))))
+        lo = hi
 
     def sweep(r: np.ndarray) -> np.ndarray:
-        z = np.zeros(r.size, dtype=complex)
-        for idx, rows, solve in steps:
-            # z is still zero on the sectors after this one
-            z[idx] = solve(r[idx] - rows @ z)
+        z = np.empty(r.size, dtype=complex)
+        for lo, hi, lower, solve in steps:
+            # block forward substitution: z is not yet set past this block
+            z[lo:hi] = solve(r[lo:hi] - lower @ z[:lo])
         return z
 
     return LinearOperator(a.shape, matvec=sweep, dtype=complex)
@@ -1015,21 +1030,29 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
     probe = _levels(dims)[-1]
     ket, bra = np.repeat(probe, dim), np.tile(probe, dim)
     shift = -1j * (ket - bra)
-    blocks = [np.flatnonzero((ket == 1) & (bra == 1)),                 # rho_11
-              np.flatnonzero((ket == 0) & (bra == 0)),                 # rho_00
-              np.flatnonzero((ket == 0) & (bra == 1))]                 # rho_01
-    mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()[blocks[2]]
+    rho_01 = np.flatnonzero((ket == 0) & (bra == 1))
+    # rho_11, rho_00, rho_01 and rho_10, the mirror image of rho_01: every
+    # block and coupling of the sweep is then a slice of contiguous ranges
+    order = np.concatenate([np.flatnonzero((ket == 1) & (bra == 1)),
+                            np.flatnonzero((ket == 0) & (bra == 0)), rho_01,
+                            np.arange(dim * dim).reshape(dim, dim).T.ravel()[rho_01]])
+    m = rho_01.size
+    ranges = [(0, m), (m, 2 * m), (2 * m, 3 * m)]
     a, b = _constrained(gen_fixed, _trace_row(dim))
+    # permuted one copy at a time, which keeps the scan's memory peak down
+    a = a[:, order]
     a = a.tocsr()
-    diagonal = [a[idx][:, idx].tocsc() for idx in blocks]
+    a, b = a[order], b[order]
+    diagonal = [a[lo:hi, lo:hi].tocsc() for lo, hi in ranges]
     # before the coupling slices exist, which keeps the scan's memory peak down
     lu_p = [_HermitianLU(block, dim // 2, "probe_spectrum") for block in diagonal[:2]]
-    rest = [np.setdiff1d(np.arange(dim * dim), idx) for idx in blocks]
-    coupling = [a[idx][:, others] for idx, others in zip(blocks, rest)]
+    coupling = [(a[lo:hi, :lo], a[lo:hi, hi:]) for lo, hi in ranges]
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
     record.factorizations = 2
-    ground = blocks[1]
+    ground = order[m:2 * m]
     x, record.bare_residual = _refined_solve(
-        lu_p[1], diagonal[1], b[ground], gen_fixed.tocsr()[ground][:, ground],
+        lu_p[1], diagonal[1], b[m:2 * m], gen_fixed.tocsr()[ground][:, ground],
         "probe_spectrum: steady state without the probe")
     bare = _state_from_vector(x, dims[:-1])
 
@@ -1038,14 +1061,15 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
             diag = delta * shift
             residual = np.inf
             try:
-                lu_q = splu((diagonal[2] + sp.diags(diag[blocks[2]])).tocsc())
+                lu_q = splu((diagonal[2] + sp.diags(diag[rho_01])).tocsc())
                 record.factorizations += 1
-                x = np.zeros(dim * dim, dtype=complex)
+                y = np.zeros(dim * dim, dtype=complex)
                 previous = np.inf
                 for sweep in range(1, _BLOCK_SWEEPS + 1):
-                    for idx, others, c, lu in zip(blocks, rest, coupling, lu_p + [lu_q]):
-                        x[idx] = lu.solve(b[idx] - c @ x[others])
-                    x[mirror] = x[blocks[2]].conj()
+                    for (lo, hi), (lower, upper), lu in zip(ranges, coupling, lu_p + [lu_q]):
+                        y[lo:hi] = lu.solve(b[lo:hi] - lower @ y[:lo] - upper @ y[hi:])
+                    y[3 * m:] = y[2 * m:3 * m].conj()
+                    x = y[position]
                     record.sweeps += 1
                     record.most_sweeps = max(record.most_sweeps, sweep)
                     residual = _residual(gen_fixed, x, diag)

@@ -380,6 +380,32 @@ def test_stalled_sector_solve_falls_back_to_direct(monkeypatch, caplog):
     assert record.iterations > 0 and record.residual <= 1e-10
 
 
+def test_an_early_stop_short_of_the_bar_goes_on_with_a_full_cycle(monkeypatch, caplog):
+    # GMRES's estimate passes this tolerance after about 11 iterations, long
+    # before the true residual passes 1e-14; the next cycle starts below it
+    # and must not stop at once
+    p = _params(n_atoms=2, beta=0.4, tau_indiv=0.5, tau_common=2.0)
+    space = SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2)              # dim 36
+    gen = liouville.build_liouvillian(p, 0.0, space)
+    monkeypatch.setattr(liouville, "_GMRES_ATOL", 1e-12)
+    tolerances, exact = [], liouville.gmres
+
+    def gmres(a, b, **kwargs):
+        tolerances.append(kwargs["atol"])
+        return exact(a, b, **kwargs)
+
+    monkeypatch.setattr(liouville, "gmres", gmres)
+    caplog.set_level(logging.DEBUG, logger="cavlab.liouville")
+    state = liouville.steady_state(gen, space.dims)
+    record = caplog.records[-1].solve
+    assert record.method == "sector" and record.residual <= 1e-14
+    assert tolerances == [1e-12, 0.0] and record.cycles == 2
+    assert liouville._GMRES_RESTART < record.iterations < 2 * liouville._GMRES_RESTART
+    direct = liouville._direct_steady(gen, space.dimension)
+    swept = state.rho.ravel()
+    assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_a_sector_solve_that_yields_nan_falls_back_after_one_cycle(monkeypatch):
     p, space = _strong_two_level()
     gen = liouville.build_liouvillian(p, 0.0, space)
@@ -552,6 +578,10 @@ def test_transmission_ladder_needs_no_direct_solve(monkeypatch, caplog):
     # solved over the orbits of the three identical emitters
     solves = [r.solve for r in caplog.records if hasattr(r, "solve")]
     assert [r.unknowns for r in solves] == [660, 2640, 5940]
+    # each rung stops inside its first restart cycle, at the bar
+    for record in solves:
+        assert record.cycles == 1 and record.iterations < liouville._GMRES_RESTART
+        assert record.residual <= 1e-14
     records = [r for r in caplog.records if hasattr(r, "rung")]
     rungs = [r.rung for r in records]
     assert [(r["cavity_cutoff"], r["dimension"]) for r in rungs] == [(1, 54), (3, 108),
@@ -579,9 +609,9 @@ def test_every_solve_logs_one_record(caplog):
                                                                       (84, 3, nnz[1])]
     assert all(b["seconds"] > 0.0 for b in builds)
     assert (direct.method, direct.dimension, direct.sectors) == ("direct", 18, 1)
-    assert direct.largest_block == 18 ** 2 and direct.iterations == 0
+    assert direct.largest_block == 18 ** 2 and direct.iterations == direct.cycles == 0
     assert (sector.method, sector.dimension, sector.sectors) == ("sector", 84, 47)
-    assert sector.largest_block < 84 ** 2 and sector.iterations > 0
+    assert sector.largest_block < 84 ** 2 and sector.iterations > 0 and sector.cycles == 1
     for record in (direct, sector):
         assert record.fill > 0 and record.residual <= 1e-14 and record.seconds > 0.0
     assert caplog.records[3].getMessage().startswith("steady_state sector: dimension 84, 47 sectors")
