@@ -95,6 +95,58 @@ def test_profile_numbers_have_17_significant_digits(tmp_path):
         assert len(mantissa.lstrip("-").replace(".", "")) == 17
 
 
+def _rows_by_percent(rows):
+    """CSV data rows as ``%`` writes them, one row at a time: the reference
+    for ``cli._format_rows``."""
+    template = ",".join([cli._FLOAT] * rows.shape[1])
+    return "".join(template % tuple(row) + "\n" for row in rows)
+
+
+def test_formatted_rows_equal_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(20261021).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    x = bits.view(np.float64)
+    rows = x[np.isfinite(x)][:99_000].reshape(-1, 9)
+    assert cli._format_rows(rows) == _rows_by_percent(rows)
+
+
+def test_formatted_rows_equal_percent_at_the_edges():
+    decades = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    # exact ties, which % rounds half to even, scaled values within 2e-16 of
+    # a half-integer, and both fallback ranges
+    ties = (2.0**53 - 1 - 2 * np.arange(100)) / 4
+    near_ties = [1.1017402689149206e-200, 2.4076564220539e-120, 4.7868550076310585e-21,
+                 9.039362603591881e+39, 4.118997865135263e+271]
+    outside = [5e-324, 2.0**-1022, 1e-281, 1e281, 1.7976931348623157e308]
+    # 1e-19 is stored below 1e-19: 17 digits at exponent -20
+    x = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf),
+                        ties, near_ties, outside, [1e-19, 0.0]])
+    x = np.concatenate([x, -x])
+    assert cli._format_rows(x[:, None]) == _rows_by_percent(x[:, None])
+    assert cli._format_rows(x.reshape(-1, 5)) == _rows_by_percent(x.reshape(-1, 5))
+    # 1e-14 is stored within half a 17th digit below 1e-14: its digits carry
+    n, d = (1e-14).as_integer_ratio()
+    assert n * 10**14 < d
+    assert cli._format_rows(np.array([[1e-14, -0.0]])) == \
+        "1.0000000000000000e-14,-0.0000000000000000e+00\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--config", JITTER, "--grid=-4:4:600"],
+    ["profile", "--config", DEPHASED, "--method", "moments", "--grid=-4:4:600"],
+    ["spectrum", "--config", DEPHASED, "--omega-l", "8"],
+    ["spectrum", "--config", RESONANT, "--method", "moments"],
+    ["spectrum", "--config", JITTER, "--method", "probe", "--grid=-2:2:21"],
+    ["wigner", "--config", JITTER, "--grid=-3:3:25"],
+    ["height-scan", "--config", DEPHASED, "--sweep", "gamma_par"],
+])
+def test_every_table_command_writes_the_rows_percent_writes(tmp_path, monkeypatch, argv):
+    shipped, reference = tmp_path / "shipped.csv", tmp_path / "reference.csv"
+    assert cli.main(argv + ["--out", str(shipped)]) == 0
+    monkeypatch.setattr(cli, "_format_rows", _rows_by_percent)
+    assert cli.main(argv + ["--out", str(reference)]) == 0
+    assert shipped.read_bytes() == reference.read_bytes()
+
+
 def test_profile_json_format(tmp_path):
     out = tmp_path / "p.json"
     rc = cli.main(["profile", "--config", RESONANT, "--grid=-1:1:5",
@@ -649,3 +701,15 @@ def test_module_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_rows_stream_to_a_reader_that_stops_early():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cavlab.cli", "profile", "--config", JITTER,
+         "--grid=-10:10:100001"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+    assert head.startswith(b"# config: ")

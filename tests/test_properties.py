@@ -17,7 +17,8 @@ direct LU, the real LU of a system with a Hermitian unknown must solve as
 the complex LU, and the stochastic dephasing check without diffusion must
 be exact at any time, seed and trajectory count, and with diffusion must
 equal the two-propagation reference, the Lindblad generator evolved on its
-own.
+own.  Over every finite double, the CSV row formatter must write the bytes
+``%`` writes.
 """
 import contextlib
 import io
@@ -35,12 +36,14 @@ from scipy.sparse.linalg import expm_multiply, splu
 from cavlab import analytic, cli, liouville, moments
 from cavlab.liouville import SpaceSpec
 from cavlab.model import SystemParams, params_from_json, params_to_dict
+from test_cli import _rows_by_percent
 from test_liouville import _kron_chain_liouvillian, _kron_chain_lowering
 from test_moments import _per_atom_steady_state
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
 OMEGAS = np.linspace(-6.0, 6.0, 11)
 
@@ -217,6 +220,13 @@ def test_a_malformed_config_value_exits_2_with_one_error_line(tmp_path_factory, 
     assert rc == 2
     [line] = err.getvalue().splitlines()
     assert line.startswith("error: ")
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=16),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_formatted_rows_equal_percent(rows):
+    """Subnormals, +-0 and +-max included: byte for byte, and no warning."""
+    assert cli._format_rows(rows) == _rows_by_percent(rows)
 
 
 _gate_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
