@@ -22,19 +22,19 @@ H_eff, summed in one conversion to CSR.
 Steady states.  The generator with one row replaced by the trace
 constraint is solved by sparse LU up to Hilbert dimension 32, and for a
 single mode at any size.  The generator maps rho^dagger to (L rho)^dagger
-and the trace row is real, so that system is real on the real coordinates
-of a Hermitian matrix (diagonal, real and imaginary parts of the upper
-triangle), and the LU is taken in real arithmetic, with about a third of
-the bytes of a complex one.  Above the limit, restarted GMRES solves it on
-one unknown per orbit of the emitter permutations the generator commutes
-with, preconditioned by a block Gauss-Seidel sweep over excitation sectors
-(every term but the cavity drive conserves the ket's minus the bra's
-quanta), in complex arithmetic, as a sector k != 0 holds no Hermitian
-matrix.  The orbits are laid out sector by sector, so the sweep is a block
-forward substitution over contiguous ranges, and the first restart cycle
-stops once GMRES's own residual estimate is below 1e-15.  The true residual
-decides: a solve is accepted at 1e-14, and one that stalls above it falls
-back to the LU.
+and the trace row is real, so that system is real on the real coordinates y
+of a Hermitian matrix x = T y, T the sparse basis of its diagonal and of the
+real and imaginary parts of its upper triangle, and the LU is taken in real
+arithmetic, with about a third of the bytes of a complex one.  Above the
+limit, restarted GMRES solves it on one unknown per orbit of the emitter
+permutations the generator commutes with, preconditioned by a block
+Gauss-Seidel sweep over excitation sectors (every term but the cavity drive
+conserves the ket's minus the bra's quanta), in complex arithmetic, as a
+sector k != 0 holds no Hermitian matrix.  The orbits are laid out sector by
+sector, so the sweep is a block forward substitution over contiguous
+ranges, and the first restart cycle stops once GMRES's own residual
+estimate is below 1e-15.  The true residual decides: a solve is accepted at
+1e-14, and one that stalls above it falls back to the LU.
 
 Probe.  The weak-probe spectrum splits the constrained system into the
 probe populations, Hermitian operators on the system and factored once per
@@ -59,6 +59,7 @@ capped by a budget, overridable through CAVLAB_BUDGET.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import math
 import os
@@ -73,7 +74,7 @@ from scipy.sparse.linalg import norm as spnorm
 
 from .analytic import SpectrumResult
 from .errors import BudgetError, ParameterError, SingularSystemError
-from .model import SystemParams, derive
+from .model import SystemParams, derive, finite_number
 from .moments import MomentState
 
 __all__ = [
@@ -393,42 +394,22 @@ def _refined_solve(lu, a: sp.spmatrix, b: np.ndarray, gen: sp.spmatrix,
     return x, residual
 
 
-def _hermitian_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real coordinates of a Hermitian n x n matrix vectorized row-major: the
-    diagonal, then the real parts of the upper triangle row by row, then
-    their imaginary parts.  For every entry, the coordinate of its real part,
-    that of its imaginary part and the sign s of x_ij = re + i s im (s = 0 on
-    the diagonal, whose imaginary coordinate is its real one)."""
-    i, j = np.divmod(np.arange(n * n, dtype=np.int32), n)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    pair = n + lo * n - lo * (lo + 1) // 2 + hi - lo - 1
-    return (np.where(i == j, i, pair), np.where(i == j, i, pair + n * (n - 1) // 2),
-            np.sign(j - i))
-
-
-def _real_system(a: sp.spmatrix, coordinates: tuple[np.ndarray, ...],
-                 caller: str) -> sp.csc_matrix:
-    """a on the real coordinates of a Hermitian unknown (see _HermitianLU)."""
-    re, im, sign = coordinates
-    coo = a.tocoo(copy=False)
-    upper = sign[coo.row] >= 0
-    row, col, v = coo.row[upper], coo.col[upper], coo.data[upper]
-    off = sign[col] != 0
-    row = np.concatenate([row, row[off]])
-    w = np.concatenate([v, 1j * sign[col[off]] * v[off]])
-    col = np.concatenate([re[col], im[col[off]]])
-    imaginary = sign[row] != 0
-    dropped = sp.csr_matrix((w.imag[~imaginary], (re[row[~imaginary]], col[~imaginary])),
-                            shape=a.shape)
-    if abs(dropped).max() > _SYMMETRY_TOL * np.abs(coo.data).max(initial=0.0):
-        raise SingularSystemError(
-            f"{caller}: the generator does not map rho^dagger to (L rho)^dagger")
-    real = sp.csc_matrix((np.concatenate([w.real, w.imag[imaginary]]),
-                          (np.concatenate([re[row], im[row[imaginary]]]),
-                           np.concatenate([col, col[imaginary]]))), shape=a.shape)
-    # the real parts of -i H and the like: about half the entries
-    real.eliminate_zeros()
-    return real
+# cached: a probe scan factors two blocks of one size, and scans and cutoff
+# ladders repeat sizes; at n = 28 building T takes about 1 ms, the LU 7 ms
+@functools.lru_cache(maxsize=8)
+def _hermitian_basis(n: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """T, whose columns e_ii, e_ij + e_ji and i (e_ij - e_ji), i < j row by
+    row, take the real coordinates y of a Hermitian n x n matrix to its
+    vector x = T y, row-major; and the entries of x that hold y: the diagonal
+    and upper triangle, whose real parts are the first coordinates, and the
+    upper triangle, whose imaginary parts are the rest."""
+    diagonal = np.arange(n) * (n + 1)
+    i, j = np.triu_indices(n, 1)
+    upper, lower = i * n + j, j * n + i
+    e = sp.identity(n * n, format="csc")
+    e_upper, e_lower = e[:, upper], e[:, lower]
+    t = sp.hstack([e[:, diagonal], e_upper + e_lower, 1j * (e_upper - e_lower)])
+    return t.tocsr(), np.concatenate([diagonal, upper]), upper
 
 
 class _HermitianLU:
@@ -437,27 +418,30 @@ class _HermitianLU:
     and nnz.
 
     The generator maps rho^dagger to (L rho)^dagger and the trace row is
-    real, so on the real coordinates of _hermitian_coordinates the system is
-    real (the coherence-vector picture of Alicki and Lendi, Lect. Notes
-    Phys. 286 (1987)).  Column c of the real matrix holds those coordinates
-    of the image of coordinate c: an entry v of a adds v to the column of a
-    real part and i s v to that of an imaginary part, and of the image's
-    upper triangle the real parts fill the real rows, the imaginary parts
-    the imaginary rows.  The rows of the lower triangle repeat the upper
-    ones and are dropped, and so are the imaginary parts of the diagonal
-    rows, which must be zero to _SYMMETRY_TOL of the largest entry of a
-    (SingularSystemError if not).  solve takes a right-hand side Hermitian to
-    rounding and returns an exactly Hermitian solution.  Equal matrices in
-    canonical form, as every CSC matrix from a conversion is, give equal
-    factors bit for bit.
+    real, so on the real coordinates y of x = T y (_hermitian_basis) the
+    system is real (the coherence-vector picture of Alicki and Lendi, Lect.
+    Notes Phys. 286 (1987)): a T y is the vector of a Hermitian matrix for
+    every real y, so the rows of a T for the lower triangle are the
+    conjugates of those for the upper one.  The real system is the real
+    parts of a T's diagonal and upper-triangle rows stacked on the imaginary
+    parts of its upper-triangle rows.  The imaginary parts of its diagonal
+    rows are dropped and must be zero to _SYMMETRY_TOL of the largest entry
+    of a (SingularSystemError if not).  solve takes a right-hand side
+    Hermitian to rounding and returns an exactly Hermitian solution.  Equal
+    matrices in canonical form, as every CSC matrix from a conversion is,
+    give equal factors bit for bit.
     """
 
     def __init__(self, a: sp.spmatrix, n: int, caller: str):
-        self._coordinates = _hermitian_coordinates(n)
-        sign = self._coordinates[2]
-        self._upper, self._off = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
-        # built in its own frame, whose temporaries are freed before the LU
-        real = _real_system(a, self._coordinates, caller)
+        self._basis, self._real_rows, self._imaginary_rows = _hermitian_basis(n)
+        rows = a.tocsr()[self._real_rows] @ self._basis
+        if abs(rows[:n].imag).max() > _SYMMETRY_TOL * np.abs(a.data).max(initial=0.0):
+            raise SingularSystemError(
+                f"{caller}: the generator does not map rho^dagger to (L rho)^dagger")
+        real = sp.vstack([rows.real, rows[n:].imag]).tocsc()
+        del rows                  # before the LU, which keeps the memory peak down
+        # the real parts of -i H and the like: about half the entries
+        real.eliminate_zeros()
         try:
             self.factor = splu(real)
         except RuntimeError as exc:
@@ -468,25 +452,20 @@ class _HermitianLU:
         return self.factor.nnz
 
     def to_real(self, x: np.ndarray) -> np.ndarray:
-        re, im, _ = self._coordinates
-        y = np.empty(x.size)
-        y[re[self._upper]] = x.real[self._upper]
-        y[im[self._off]] = x.imag[self._off]
-        return y
+        return np.concatenate([x.real[self._real_rows], x.imag[self._imaginary_rows]])
 
     def from_real(self, y: np.ndarray) -> np.ndarray:
-        re, im, sign = self._coordinates
-        return y[re] + 1j * (sign * y[im])
+        return self._basis @ y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.from_real(self.factor.solve(self.to_real(b)))
 
 
-def _direct_steady(gen: sp.spmatrix, dim: int,
-                   record: _SolveRecord | None = None) -> np.ndarray:
+def _direct_steady(gen: sp.spmatrix, dim: int, record: _SolveRecord | None = None,
+                   caller: str = "steady_state") -> np.ndarray:
     a, b = _constrained(gen, _trace_row(dim))
-    lu = _HermitianLU(a, dim, "steady_state")
-    x, residual = _refined_solve(lu, a, b, gen, "steady_state")
+    lu = _HermitianLU(a, dim, caller)
+    x, residual = _refined_solve(lu, a, b, gen, caller)
     if record is not None:
         record.unknowns = dim * dim
         record.fill += lu.nnz
@@ -838,6 +817,8 @@ def wigner(state: TruncatedState, xs: np.ndarray, ps: np.ndarray) -> WignerGrid:
     dim = state.dims[0]
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
+        raise ParameterError("wigner: the grid points must be finite")
     two_alpha = 2.0 * (xs[:, None] + 1j * ps[None, :])
     # the recurrence runs on the distinct radii; where indexes each point's
     radius, where = np.unique(np.abs(two_alpha), return_inverse=True)
@@ -933,6 +914,8 @@ def probe_spectrum(params: SystemParams, omega_l: float, grid: np.ndarray,
     """
     start = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
+    if not (np.isfinite(omega_l) and np.isfinite(grid).all()):
+        raise ParameterError("probe_spectrum: omega_l and the grid must be finite")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("probe_spectrum: epsilon must be in (0, 1)")
     if kappa_p is None:
@@ -1082,7 +1065,8 @@ def _probe_steady_states(gen_fixed: sp.spmatrix, deltas: np.ndarray,
             except RuntimeError:
                 residual = np.inf
             if residual > _BLOCK_TOL:
-                x = _direct_steady((gen_fixed + sp.diags(diag)).tocsr(), dim)
+                x = _direct_steady((gen_fixed + sp.diags(diag)).tocsr(), dim,
+                                   caller="probe_spectrum")
                 record.factorizations += 1
                 record.fallbacks += 1
             yield _state_from_vector(x, dims)
@@ -1128,7 +1112,13 @@ def stochastic_dephasing_check(deterministic_gen: sp.spmatrix, operator,
             "stochastic_dephasing_check: operator must be Hermitian and diagonal")
     if not 0.0 <= diffusion < math.inf:
         raise ParameterError("stochastic_dephasing_check: diffusion must be finite and >= 0")
-    n_trajs, seeds = np.ravel(n_traj).tolist(), np.ravel(seed).tolist()
+    # each value as given: a numeric array would turn True beside an int into 1
+    n_trajs, seeds = (np.asarray(value, dtype=object).ravel().tolist()
+                      for value in (n_traj, seed))
+    for name, values in (("n_traj", n_trajs), ("seed", seeds)):
+        for value in values:
+            finite_number(f"stochastic_dephasing_check: {name}", value, whole=True)
+    n_trajs, seeds = [int(n) for n in n_trajs], [int(s) for s in seeds]
     if (not 0.0 < t_end < math.inf or np.shape(n_traj) != np.shape(seed)
             or min(n_trajs, default=0) < 1):
         raise ParameterError("stochastic_dephasing_check: need finite t_end > 0 and "

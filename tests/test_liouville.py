@@ -490,7 +490,8 @@ def test_a_failed_probe_fallback_logs_the_scan_record(monkeypatch, caplog):
     record = caplog.records[-1].probe
     assert record.factorizations == 2 and record.fallbacks == 0
     assert record.error == str(failure.value)
-    assert "failed: steady_state: sparse LU failed" in caplog.records[-1].getMessage()
+    # the fallback's error names the scan, not steady_state
+    assert "failed: probe_spectrum: sparse LU failed" in caplog.records[-1].getMessage()
 
 
 def test_a_single_mode_takes_the_direct_solve(monkeypatch, caplog):
@@ -747,6 +748,10 @@ def test_wigner_requires_single_mode():
     state = TruncatedState(np.eye(4, dtype=complex) / 4.0, (2, 2))
     with pytest.raises(ParameterError, match="cavity"):
         liouville.wigner(state, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+    state = TruncatedState(np.eye(4, dtype=complex) / 4.0, (4,))
+    for xs, ps in (([math.nan], [0.0]), ([0.0], [math.inf]), ([0.0, -math.inf], [0.0])):
+        with pytest.raises(ParameterError, match="finite"):
+            liouville.wigner(state, xs, ps)
 
 
 # --- probe spectrum ----------------------------------------------------------------
@@ -827,6 +832,10 @@ def test_probe_spectrum_rejects_bad_arguments():
         with pytest.raises(ParameterError, match="kappa_p"):
             liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=1e-3,
                                      kappa_p=kappa_p, space=space)
+    for omega_l, grid in ((0.0, [math.nan]), (0.0, [0.0, math.inf]), (math.nan, [0.0]),
+                          (-math.inf, [0.0])):
+        with pytest.raises(ParameterError, match="must be finite"):
+            liouville.probe_spectrum(p, omega_l, grid, epsilon=1e-3, space=space)
     space = SpaceSpec(cavity_cutoff=4, n_atoms=1, atom_cutoff=2)
     with pytest.raises(ParameterError, match="probe"):
         liouville.probe_spectrum(p, 0.0, np.array([0.0]), epsilon=1e-3, space=space)
@@ -1114,6 +1123,13 @@ def test_stochastic_rejects_bad_input():
     with pytest.raises(ParameterError, match="seed"):
         liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
                                              t_end=0.1, n_traj=4, seed=-1)
+    # a count and a seed are whole numbers, and a bool is neither
+    for n_traj, seed, name in ((2.5, 1, "n_traj"), (True, 1, "n_traj"),
+                               ([4, True], [1, 2], "n_traj"), (4, 1.5, "seed"),
+                               (4, True, "seed"), ([4, 4], [1, False], "seed")):
+        with pytest.raises(ParameterError, match=f"{name}: expected a whole number"):
+            liouville.stochastic_dephasing_check(gen, n_op, 1.0, rho0,
+                                                 t_end=0.1, n_traj=n_traj, seed=seed)
     for op in (np.diag(np.arange(8.0)), np.diag(np.arange(12.0))):
         with pytest.raises(ParameterError, match="sizes disagree"):
             liouville.stochastic_dephasing_check(gen, op, 1.0, rho0,
