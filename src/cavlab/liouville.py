@@ -26,15 +26,17 @@ and the trace row is real, so that system is real on the real coordinates y
 of a Hermitian matrix x = T y, T the sparse basis of its diagonal and of the
 real and imaginary parts of its upper triangle, and the LU is taken in real
 arithmetic, with about a third of the bytes of a complex one.  Above the
-limit, restarted GMRES solves it on one unknown per orbit of the emitter
-permutations the generator commutes with, preconditioned by a block
-Gauss-Seidel sweep over excitation sectors (every term but the cavity drive
-conserves the ket's minus the bra's quanta), in complex arithmetic, as a
-sector k != 0 holds no Hermitian matrix.  The orbits are laid out sector by
-sector, so the sweep is a block forward substitution over contiguous
-ranges, and the first restart cycle stops once GMRES's own residual
-estimate is below 1e-15.  The true residual decides: a solve is accepted at
-1e-14, and one that stalls above it falls back to the LU.
+limit, restarted GMRES solves it on one unknown per orbit of the
+permutations of the emitter sites, which the shape of the space gives, kept
+when the generator maps an invariant vector to an invariant vector.  It is
+preconditioned by a block Gauss-Seidel sweep over excitation sectors (every
+term but the cavity drive conserves the ket's minus the bra's quanta), in
+complex arithmetic, as a sector k != 0 holds no Hermitian matrix.  The
+orbits are laid out sector by sector, so the sweep is a block forward
+substitution over contiguous ranges, and the first restart cycle stops once
+GMRES's own residual estimate is below 1e-15.  The true residual decides:
+a solve is accepted at 1e-14, and one that stalls above it falls back to
+the LU.
 
 Probe.  The weak-probe spectrum splits the constrained system into the
 probe populations, Hermitian operators on the system and factored once per
@@ -112,11 +114,11 @@ _DIRECT_SOLVE_LIMIT = 32
 _DIRECT_TOL = 1e-10          # relative residual of a direct steady state
 _BLOCK_SWEEPS = 10           # most block Gauss-Seidel sweeps per probe point
 _BLOCK_TOL = 1e-14           # residual at which a block or sector solve is accepted
-# Largest change of a generator entry, relative to its largest, under a swap
-# of two emitters that still counts them identical, and largest imaginary
-# part of a diagonal row of the real LU (see _HermitianLU).  Sums of the
-# same terms in another order differ by a few ulps; a real asymmetry is far
-# larger.
+# Largest deviation of gen x from a vector constant on the emitter orbits,
+# for x constant on them, relative to gen's largest entry times max |x| (see
+# _permutation_orbits), and largest imaginary part of a diagonal row of the
+# real LU, relative to the largest entry (see _HermitianLU).  Sums of the same
+# terms in another order differ by a few ulps; a real asymmetry is far larger.
 _SYMMETRY_TOL = 1e-13
 _GMRES_RESTART = 20          # iterations per restart cycle of the sector solve
 # GMRES's own residual estimate (a 2-norm over the reduced, preconditioned
@@ -127,7 +129,9 @@ _GMRES_ATOL = 1e-15
 _GMRES_CYCLES = 5            # most restart cycles before the direct fallback
 # Incomplete sector factors.  At transmission-profile's dimension-162 rung
 # (5,940 unknowns on the emitter orbits) they hold 108,187 entries and exact
-# block LUs 395,468; that solve took 0.11 s with them, 0.17 s exact.
+# block LUs 395,468.  Exact factors bought no speed and cost memory: three
+# alternating 12-s runs of perfbench's `gate` read run_s 0.597-0.607 s
+# against 0.588-0.612 s, and peak_rss_mb 104.6-105.6 MB against 99.8-100.7.
 _SECTOR_ILU = dict(drop_tol=1e-3, fill_factor=4)
 _SECTOR_ORDERING = "MMD_AT_PLUS_A"   # least fill of SuperLU's orderings here
 # Largest ||gen||_1 * t_end the stochastic check propagates: expm_multiply
@@ -479,13 +483,13 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
     orbits of the emitter permutations, preconditioned by one block
     Gauss-Seidel sweep over excitation sectors; None when the iteration stalls.
 
-    A steady state of a generator that commutes with a permutation of
-    identical emitters can be taken invariant under it, so it is x = S y,
-    S the 0/1 expansion of orbit values to entries (see _permutation_orbits),
-    and gen x = 0 holds on every row once it holds on one row per orbit.  The
-    system solved is therefore gen[reps] S, with the trace row weighting each
-    diagonal orbit by its size.  Without identical emitters every entry is its
-    own orbit.
+    The unknowns are the orbits of the permutations of the emitter sites
+    (see _permutation_orbits), x = S y with S the 0/1 expansion of orbit
+    values to entries.  When gen maps such an invariant x to an invariant
+    vector, gen x = 0 holds on every row once it holds on one row per orbit,
+    so the system solved is gen[reps] S, with the trace row weighting each
+    diagonal orbit by its size.  When it does not, every entry is its own
+    orbit.
 
     Entry (i, j) of the vectorized state lies in sector k = exc(i) - exc(j),
     exc counting the quanta of cavity, emitters and probe, and so does its
@@ -550,40 +554,30 @@ def _sector_steady(gen: sp.spmatrix, dims: tuple[int, ...],
 def _permutation_orbits(gen: sp.csr_matrix, dims: tuple[int, ...]
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Representatives of the orbits of the vectorized indices under the
-    emitter permutations that gen commutes with, and every index's orbit.
+    permutations of the emitters, and every index's orbit; every index is its
+    own orbit unless gen maps vectors constant on the orbits to such vectors.
 
-    Adjacent sites after the cavity with equal dims join a run when the
-    swap of their levels, in ket and bra alike, leaves gen unchanged to
-    _SYMMETRY_TOL of its largest entry; adjacent swaps generate every
-    permutation of a run.  Entry (i, j) is represented by the entry whose
-    (ket, bra) level pairs on each run's sites are sorted, and the
-    representatives are these canonical indices in ascending order, so entry
-    (0, 0), which holds the trace row, is orbit 0.
+    The emitters are the sites after the cavity with the first emitter's
+    dims.  Entry (i, j) is represented by the entry whose (ket, bra) level
+    pairs on those sites are sorted, and the representatives are these
+    canonical indices in ascending order, so entry (0, 0), which holds the
+    trace row, is orbit 0.  The reduction needs gen to map invariant vectors
+    to invariant vectors, as then gen[reps] S y = 0 gives gen S y = 0.  That
+    is checked on one generic invariant vector, seeded random values per
+    orbit, to _SYMMETRY_TOL of gen's largest entry times its largest value.
     """
-    sites = len(dims)
-    shape = dims + dims
+    sites, shape = len(dims), dims + dims
     digits = list(_levels(shape).astype(np.intp))
-    tol = _SYMMETRY_TOL * abs(gen).max()
-    runs: list[list[int]] = []
-    for s in range(1, sites - 1):
-        if dims[s] != dims[s + 1]:
-            continue
-        swapped = list(digits)
-        for t in (s, s + sites):
-            swapped[t], swapped[t + 1] = digits[t + 1], digits[t]
-        perm = np.ravel_multi_index(swapped, shape)
-        if abs(gen[perm][:, perm] - gen).max() > tol:
-            continue
-        if runs and runs[-1][-1] == s:
-            runs[-1].append(s + 1)
-        else:
-            runs.append([s, s + 1])
-    for run in runs:
-        d = dims[run[0]]
-        pairs = np.sort([digits[s] * d + digits[s + sites] for s in run], axis=0)
-        for s, pair in zip(run, pairs):
-            digits[s], digits[s + sites] = np.divmod(pair, d)
-    return np.unique(np.ravel_multi_index(digits, shape), return_inverse=True)
+    emitters = [s for s in range(1, sites) if dims[s] == dims[1]]
+    pairs = np.sort([digits[s] * dims[s] + digits[s + sites] for s in emitters], axis=0)
+    for s, pair in zip(emitters, pairs):
+        digits[s], digits[s + sites] = np.divmod(pair, dims[s])
+    reps, labels = np.unique(np.ravel_multi_index(digits, shape), return_inverse=True)
+    x = np.random.default_rng(0).random(reps.size)[labels]
+    gx, scale = gen @ x, np.abs(gen.data).max(initial=0.0) * x.max()
+    if np.abs(gx - gx[reps][labels]).max() > _SYMMETRY_TOL * scale:
+        return np.arange(labels.size), np.arange(labels.size)
+    return reps, labels
 
 
 def _sector_preconditioner(a: sp.csr_matrix, sizes: list[int],
@@ -715,21 +709,23 @@ def steady_moment_state(params: SystemParams, omega_l: float,
 def converged_moment_state(params: SystemParams, omega_l: float, space: SpaceSpec
                            ) -> tuple[MomentState, TruncatedState, SpaceSpec]:
     """Raise the cavity cutoff by 2 until the reported moments settle, at
-    most _CUTOFF_ROUNDS times; SingularSystemError if they have not.  Each
-    rung logs its cutoff, dimension and relative moment change (NaN on the
-    first) at DEBUG level."""
+    most _CUTOFF_ROUNDS times; SingularSystemError if they have not.  A
+    rung's change is the largest change of a moment relative to the largest
+    moment, so one that is zero by symmetry, and reads as rounding noise, does
+    not hold the scan up.  Each rung logs its cutoff, dimension and relative
+    moment change (NaN on the first) at DEBUG level."""
     current = space
-    mstate, state = steady_moment_state(params, omega_l, current)
+    mstate, _ = steady_moment_state(params, omega_l, current)
     _log_rung(current, math.nan)
     for _ in range(_CUTOFF_ROUNDS):
         bigger = replace(current, cavity_cutoff=current.cavity_cutoff + 2)
         m2, s2 = steady_moment_state(params, omega_l, bigger)
-        ref = np.abs(mstate.packed())
-        change = np.max(np.abs(m2.packed() - mstate.packed()) / np.maximum(ref, 1e-300))
+        ref = np.max(np.abs(mstate.packed()))
+        change = np.max(np.abs(m2.packed() - mstate.packed())) / max(ref, 1e-300)
         _log_rung(bigger, change)
         if change < _CUTOFF_REL_TOL:
             return m2, s2, bigger
-        current, mstate, state = bigger, m2, s2
+        current, mstate = bigger, m2
     raise SingularSystemError(
         f"converged_moment_state: moments still changed by {change:.2e} "
         f"(tolerance {_CUTOFF_REL_TOL:.0e}) after {_CUTOFF_ROUNDS + 1} rungs, "

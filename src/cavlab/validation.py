@@ -197,8 +197,10 @@ def check_jitter_coherence_ratio(seed: int) -> tuple[bool, str]:
 def check_spectrum_triple_agreement(seed: int) -> tuple[bool, str]:
     """Closed form, regression and probe readout of the emission spectrum."""
     p = _figure_params(tau_common=1.0 / 3.0)
-    # probe runs on the equivalent single collective emitter (g -> g sqrt N);
-    # common-only dephasing leaves the cavity statistics of the two identical
+    # probe runs on the equivalent single collective emitter (g -> g sqrt N),
+    # exact here: hp emitters without individual dephasing couple the cavity
+    # to the bright mode L / sqrt(N) alone, on which common dephasing acts as
+    # on one emitter while the dark modes stay empty
     probe_params = p.replace(g=p.g * math.sqrt(p.n_atoms), n_atoms=1)
     probe_space = SpaceSpec(cavity_cutoff=6, n_atoms=1, atom_model="hp",
                             atom_cutoff=3, probe_enabled=True)

@@ -520,9 +520,14 @@ def test_sector_solve_survives_a_generator_that_breaks_the_sectors():
     assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def test_a_one_emitter_term_keeps_every_entry_an_unknown():
-    p = _params(n_atoms=2, beta=0.4, tau_indiv=0.5, tau_common=2.0)
-    space = SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2)              # dim 36
+@pytest.mark.parametrize("space", [
+    SpaceSpec(cavity_cutoff=3, n_atoms=2, atom_cutoff=2),
+    SpaceSpec(cavity_cutoff=1, n_atoms=3, atom_cutoff=2),
+], ids=["2hp-dim36", "3hp-dim54"])
+def test_a_one_emitter_term_keeps_every_entry_an_unknown(space):
+    # at N = 3 the other two emitters are still alike, but the orbits of the
+    # emitter sites are not kept
+    p = _params(n_atoms=space.n_atoms, beta=0.4, tau_indiv=0.5, tau_common=2.0)
     first = _kron_chain_lowering(space.dims, 1)
     gen = liouville.build_liouvillian(
         p, 0.0, space, extra_hamiltonian=0.3 * (first.conj().T @ first))
@@ -547,6 +552,20 @@ def test_the_cavity_never_joins_the_emitter_orbits():
     swept = liouville._sector_steady(gen, space.dims,
                                      liouville._SolveRecord("sector", space.dimension))
     assert np.max(np.abs(swept - liouville._direct_steady(gen, space.dimension))) <= 1e-14
+
+
+def test_a_moment_zero_by_symmetry_does_not_hold_up_the_cutoff_scan():
+    # at resonance Re s4 is zero, and its rounding noise (about 5e-20) changed
+    # by more than itself at every rung when each moment was its own scale
+    p = _params(g=1.0, kappa1=1.0, kappa2=1.0, gamma_par=1.0, beta=0.0625 * np.exp(1j))
+    oracle, _, used = liouville.converged_moment_state(
+        p, 0.0, SpaceSpec(cavity_cutoff=2, n_atoms=1, atom_cutoff=2))
+    assert used.cavity_cutoff == 4
+    assert abs(oracle.s4.real) <= 1e-15 * abs(oracle.s4)
+    # s3 is 1.3e-5 off: the truncation at two emitter quanta
+    ref = moments.steady_state(p, 0.0)
+    for got, want in ((oracle.s1, ref.s1), (oracle.s3, ref.s3), (oracle.s5, ref.s5)):
+        assert abs(got - want) <= 1e-4 * abs(want)
 
 
 def test_a_failed_incomplete_sector_factor_is_factored_exactly(monkeypatch):

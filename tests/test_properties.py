@@ -15,11 +15,12 @@ equal the kron-chain reference, the sector-preconditioned steady state, on
 its own and solved over the orbits of identical emitters, must match the
 direct LU, the real LU of a system with a Hermitian unknown must solve as
 the complex LU, the density-matrix oracle's converged moments must match
-the moment solve at weak drive, and the stochastic dephasing check without
-diffusion must be exact at any time, seed and trajectory count, and with
-diffusion must equal the two-propagation reference, the Lindblad generator
-evolved on its own.  Over every finite double, the CSV row formatter must
-write the bytes ``%`` writes.
+the moment solve at weak drive and, for two-level emitters, obey the
+moment equations but for the saturation terms, and the stochastic dephasing
+check without diffusion must be exact at any time, seed and trajectory
+count, and with diffusion must equal the two-propagation reference, the
+Lindblad generator evolved on its own.  Over every finite double, the CSV
+row formatter must write the bytes ``%`` writes.
 """
 import contextlib
 import io
@@ -366,9 +367,7 @@ _detuning = st.floats(-3.0, 3.0)
 # incoherent excess at 0.13 of s3, where s3 deviated by 5.5e-6.  Unseeded
 # runs of 400 draws find what the 40 seeded ones here do not: at N = 1,
 # g = kappa1 = kappa2 = 1, resonance and gamma_par = 0.1 the atom cutoff
-# leaves s3 off by up to 5e-3, and a complex drive at resonance can keep
-# the cutoff scan from converging (a moment that is zero by symmetry reads
-# as rounding noise, whose relative change never settles).
+# leaves s3 off by up to 5e-3.
 _ORACLE_TOL = 1e-4
 
 
@@ -396,6 +395,41 @@ def test_density_matrix_oracle_matches_the_moments(n_atoms, omega_l, cavity_detu
     excess = ref.s3 - abs(ref.s1) ** 2
     if excess >= 0.1 * ref.s3:
         assert abs(oracle.s3 - abs(oracle.s1) ** 2 - excess) <= _ORACLE_TOL * excess
+
+
+@settings(max_examples=40)
+@given(n_atoms=st.integers(1, 2), g=_decade, kappa1=_decade, kappa2=_decade,
+       gamma_par=_decade, omega_l=_detuning, cavity_detuning=_detuning,
+       emitter_detuning=_detuning, tau_indiv=st.one_of(st.none(), _decade),
+       tau_common=st.one_of(st.none(), _decade), tau_jitter=st.one_of(st.none(), _decade),
+       drive=st.floats(1e-3, 0.07), phase=st.floats(0.0, 2.0 * math.pi))
+def test_two_level_emitters_obey_the_moment_equations_but_for_saturation(
+        n_atoms, omega_l, cavity_detuning, emitter_detuning, drive, phase, **fields):
+    # weak drive on two-level emitters.  The moment equations are those of
+    # hp emitters, and a two-level emitter differs by [s, s^dagger] = 1 - 2n:
+    # the s2 and s4 rows gain the saturation terms 2ig<n_j a> and
+    # 2ig<a^dagger n_j a>, and every other row holds as it stands.  Over 900
+    # numpy-seeded draws of this domain each row met this to 5.1e-13 of its
+    # scale.  The saturation term itself reached 44 p_exc g|s1|, so the
+    # moments of the two models are not within 5 p_exc of each other
+    # everywhere here, as they are at linear-regime-boundary's setup.
+    p = SystemParams(n_atoms=n_atoms, omega_c=omega_l + cavity_detuning,
+                     omega_a=omega_l + emitter_detuning, beta=drive * np.exp(1j * phase),
+                     **{key: value or math.inf for key, value in fields.items()})
+    oracle, state, space = liouville.converged_moment_state(
+        p, omega_l, SpaceSpec(cavity_cutoff=2, n_atoms=n_atoms, atom_model="two_level"))
+    rates = moments.derivative(p, omega_l, oracle)
+    a = _kron_chain_lowering(space.dims, 0)
+    numbers = [sp.diags(level) for level in liouville._levels(space.dims)[1:]]
+    saturated = sum(liouville.expectation(state, n @ a) for n in numbers) / n_atoms
+    photons_saturated = sum(liouville.expectation(state, a.conj().T @ n @ a)
+                            for n in numbers) / n_atoms
+    assert abs(rates.s1) <= 1e-10 * abs(p.drive)
+    assert abs(rates.s3) <= 1e-10 * 2.0 * p.kappa * oracle.s3
+    assert abs(rates.s5) <= 1e-10 * p.gamma_par * oracle.s5
+    assert abs(rates.s2 + 2j * p.g * saturated) <= 1e-10 * p.g * abs(oracle.s1)
+    assert abs(rates.s4 + 2j * p.g * photons_saturated) <= 1e-10 * (
+        p.g * (oracle.s3 + oracle.s5) + abs(p.drive * oracle.s2))
 
 
 @given(t_end=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e), n_traj=st.integers(1, 100),
